@@ -573,7 +573,7 @@ pub(crate) fn migrate(
         }
     }
     // Book the earliest-ready messages first for tighter packing on the shared link.
-    remote.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    remote.sort_by(|a, b| a.1.total_cmp(&b.1));
     for &(eid, src_finish) in remote.iter() {
         let e = graph.edge(eid);
         let src_proc = builder.proc_of(e.src).expect("all tasks are placed");

@@ -351,7 +351,7 @@ impl Solver for Portfolio {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().ok().map(|s| (i, s.metrics.schedule_length)))
-            .min_by(|(i, a), (j, b)| a.partial_cmp(b).unwrap().then(i.cmp(j)))
+            .min_by(|(i, a), (j, b)| a.total_cmp(b).then(i.cmp(j)))
             .map(|(i, _)| i);
         let chosen = match self.strategy {
             RaceStrategy::FirstConverged => winner.or(best_by_length),

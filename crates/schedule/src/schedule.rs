@@ -174,7 +174,7 @@ impl Schedule {
             .filter(|pl| pl.proc == p)
             .copied()
             .collect();
-        v.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+        v.sort_by(|a, b| a.start.total_cmp(&b.start));
         v
     }
 
@@ -191,7 +191,7 @@ impl Schedule {
                     .map(move |h| (r.edge, *h))
             })
             .collect();
-        v.sort_by(|a, b| a.1.start.partial_cmp(&b.1.start).unwrap());
+        v.sort_by(|a, b| a.1.start.total_cmp(&b.1.start));
         v
     }
 

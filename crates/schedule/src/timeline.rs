@@ -23,34 +23,40 @@
 //! On timelines with thousands of busy slots the residual linear scan of
 //! [`Timeline::earliest_gap`] — from the first interval still alive at `ready` to the
 //! first gap that fits — dominates the speculation loops of the migration phase
-//! (DESIGN.md §14).  The timeline therefore keeps a lazily maintained two-level
-//! summary: intervals are grouped in chunks of `CHUNK` intervals and each chunk stores
+//! (DESIGN.md §14).  The timeline therefore keeps a lazily maintained summary of each
+//! chunk of `CHUNK` consecutive intervals:
 //!
 //! * `pmax` — the maximum finish instant inside the chunk, and
-//! * `room` — the largest *internal headroom* `start[i] − max(finish[j] : j < i, same
-//!   chunk)` of any interval in the chunk (the chunk's first interval contributes
-//!   `+∞`, because its headroom is bounded only by state outside the chunk).
+//! * `room` — the largest gap *inside* the chunk, `start[i] − max(finish[j] : j < i)`
+//!   over the chunk's intervals after its first (`−∞` for a one-interval chunk).
 //!
-//! A gap query walks chunk summaries instead of intervals: a whole chunk whose
-//! headroom upper bound is (conservatively, with a floating-point safety margin)
-//! smaller than the requested duration provably contains no fitting gap and is
-//! skipped in O(1), folding its `pmax` into the scan state; only chunks that *might*
-//! host the fit are scanned interval-by-interval with the exact scalar rule, so the
-//! result is identical to the plain scan — the skip test errs toward descending,
-//! never toward skipping a fit.  Queries cost O(n / CHUNK + CHUNK) on fresh
-//! summaries instead of O(n).
+//! A gap query walks chunk summaries instead of intervals.  With running candidate
+//! `c`, a fit before the chunk's first interval needs `first_start − c ≥ duration`,
+//! and a fit before any later one needs both `last_start − c` and `room` to reach
+//! `duration`.  A chunk whose bound `max(first_start − c, min(last_start − c, room))`
+//! falls short of the duration by more than a floating-point safety margin provably
+//! holds no fit: it is skipped in O(1), folding its `pmax` into the candidate.  Every
+//! other chunk is scanned interval by interval with the exact scalar rule, so the
+//! result is identical to the plain scan — the margin errs toward scanning, never
+//! toward skipping a fit.  Past the chunk where the walk starts, the candidate sits
+//! at or before each chunk's first start (up to `TIME_EPS`), so the bound is tight:
+//! a query reads its first (partial) chunk and the chunk holding its fit, plus one
+//! summary per chunk in between.  The walk itself stays linear in the number of
+//! chunks it crosses.
 //!
-//! Mutations stay cheap: every structural change (insert / remove / window rewrite)
-//! only lowers a freshness watermark in O(1); the next gap query on a large timeline
-//! re-derives the stale chunk summaries once (self-healing, amortized across the many
-//! speculative queries between mutation batches).  The summary lives behind a
-//! `RefCell` because queries take `&self`; the timeline as a whole stays `Send`,
-//! which is all the parallel solver's mirror builders require.  Summaries are pure
-//! caches: equality ([`PartialEq`]) compares intervals only, so builders that took
-//! different mutation paths to the same schedule still compare equal.
+//! Mutations stay cheap.  An insert or remove shifts every later interval, so it marks
+//! the summaries from its chunk to the highest one built stale; a window rewrite
+//! ([`Timeline::set_window`]) marks only its own chunk stale.  A query rebuilds a
+//! stale summary when its walk reaches that chunk, so chunks past the fit are never
+//! rebuilt on its behalf.  The summaries live behind a `RefCell` because queries take
+//! `&self`; the timeline as a whole stays `Send`, which is all the parallel solver's
+//! mirror builders require.  Summaries are pure caches: equality ([`PartialEq`])
+//! compares intervals only, so builders that took different mutation paths to the
+//! same schedule still compare equal.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 /// Numerical slack used when comparing schedule instants.
 pub const TIME_EPS: f64 = 1e-9;
@@ -73,16 +79,63 @@ pub struct Interval<P> {
     pub payload: P,
 }
 
+/// The summary of one chunk of the gap index (see the module documentation).
+#[derive(Debug, Clone, Copy)]
+struct ChunkSummary {
+    /// Maximum finish instant inside the chunk.
+    pmax: f64,
+    /// Largest gap inside the chunk: `start − (latest finish before it in the chunk)`
+    /// over the intervals after the first (`−∞` for a one-interval chunk).
+    room: f64,
+}
+
+impl ChunkSummary {
+    fn of<P>(chunk: &[Interval<P>]) -> Self {
+        let mut pmax = chunk[0].finish;
+        let mut room = f64::NEG_INFINITY;
+        for iv in &chunk[1..] {
+            if iv.start - pmax > room {
+                room = iv.start - pmax;
+            }
+            if iv.finish > pmax {
+                pmax = iv.finish;
+            }
+        }
+        ChunkSummary { pmax, room }
+    }
+}
+
 /// Lazily maintained per-chunk summaries for [`Timeline::earliest_gap`] (see the
 /// module documentation).  A pure cache — never part of timeline equality.
 #[derive(Debug, Clone, Default)]
 struct GapIndex {
-    /// Per-chunk maximum finish instant.
-    pmax: Vec<f64>,
-    /// Per-chunk maximum internal headroom (`+∞` for the chunk's first interval).
-    room: Vec<f64>,
-    /// Chunks `[0, fresh)` are valid; mutations lower the watermark, queries heal it.
-    fresh: usize,
+    /// Per-chunk summary; `None` marks a stale chunk, rebuilt when a query reaches it.
+    chunks: Vec<Option<ChunkSummary>>,
+    /// Every entry at or past `built_end` is `None`, so invalidations stop there.
+    built_end: usize,
+}
+
+impl GapIndex {
+    /// Marks chunk `k` and every later chunk stale.
+    fn invalidate_from(&mut self, k: usize) {
+        if k < self.built_end {
+            self.chunks[k..self.built_end].fill(None);
+            self.built_end = k;
+        }
+    }
+
+    /// The summary of chunk `k` (whose intervals are `chunk`), rebuilt if stale.
+    fn summary<P>(&mut self, k: usize, chunk: &[Interval<P>]) -> ChunkSummary {
+        if let Some(summary) = self.chunks[k] {
+            return summary;
+        }
+        #[cfg(test)]
+        probe::rebuilt(k);
+        let summary = ChunkSummary::of(chunk);
+        self.chunks[k] = Some(summary);
+        self.built_end = self.built_end.max(k + 1);
+        summary
+    }
 }
 
 /// A sorted sequence of non-overlapping busy intervals.
@@ -137,60 +190,29 @@ impl<P: Copy> Timeline<P> {
         self.intervals.last().map_or(0.0, |i| i.finish)
     }
 
-    /// Invalidates every chunk summary from the one containing `pos` onward.  O(1):
-    /// mutations only lower the freshness watermark, queries re-derive.
+    /// Marks the chunk summaries from the one containing `pos` onward stale.
     #[inline]
     fn invalidate_from(&mut self, pos: usize) {
-        let idx = self.index.get_mut();
-        idx.fresh = idx.fresh.min(pos / CHUNK);
+        self.index.get_mut().invalidate_from(pos / CHUNK);
     }
 
-    /// Recomputes the chunk summaries `[idx.fresh, upto)` from the intervals.
-    fn heal_index(&self, idx: &mut GapIndex, upto: usize) {
-        let n = self.intervals.len();
-        if idx.pmax.len() < upto {
-            idx.pmax.resize(upto, 0.0);
-            idx.room.resize(upto, 0.0);
-        }
-        for k in idx.fresh..upto {
-            let lo = k * CHUNK;
-            let hi = ((k + 1) * CHUNK).min(n);
-            let mut pmax = f64::NEG_INFINITY;
-            let mut room = f64::NEG_INFINITY;
-            for iv in &self.intervals[lo..hi] {
-                // First interval of the chunk: headroom bounded only by outside state.
-                let r = if pmax == f64::NEG_INFINITY {
-                    f64::INFINITY
-                } else {
-                    iv.start - pmax
-                };
-                if r > room {
-                    room = r;
-                }
-                if iv.finish > pmax {
-                    pmax = iv.finish;
-                }
-            }
-            idx.pmax[k] = pmax;
-            idx.room[k] = room;
-        }
-        idx.fresh = idx.fresh.max(upto);
-    }
-
-    /// The plain scalar gap scan from `first_alive` — the reference semantics every
-    /// other path must reproduce bit-for-bit.
-    fn scalar_gap(&self, ready: f64, duration: f64, first_alive: usize) -> f64 {
-        let mut candidate = ready;
-        for iv in &self.intervals[first_alive..] {
+    /// The exact scalar gap rule over `intervals`, starting from `candidate`: `Break`
+    /// with the first fitting start, or `Continue` with the candidate after every
+    /// interval.  The reference semantics every path reproduces bit-for-bit.
+    #[inline]
+    fn scan(intervals: &[Interval<P>], mut candidate: f64, duration: f64) -> ControlFlow<f64, f64> {
+        for iv in intervals {
+            #[cfg(test)]
+            probe::scanned();
             if candidate + duration <= iv.start + TIME_EPS {
                 // Fits entirely before this busy interval.
-                return candidate;
+                return ControlFlow::Break(candidate);
             }
             if iv.finish > candidate {
                 candidate = iv.finish;
             }
         }
-        candidate
+        ControlFlow::Continue(candidate)
     }
 
     /// Earliest start time `s >= ready` such that `[s, s + duration)` does not overlap any
@@ -209,11 +231,15 @@ impl<P: Copy> Timeline<P> {
             .intervals
             .partition_point(|iv| iv.finish < ready - TIME_EPS);
         if n - first_alive < CHUNK_MIN_LEN {
-            return self.scalar_gap(ready, duration, first_alive);
+            let (ControlFlow::Break(s) | ControlFlow::Continue(s)) =
+                Self::scan(&self.intervals[first_alive..], ready, duration);
+            return s;
         }
         let mut idx = self.index.borrow_mut();
         let num_chunks = n.div_ceil(CHUNK);
-        self.heal_index(&mut idx, num_chunks);
+        if idx.chunks.len() < num_chunks {
+            idx.chunks.resize(num_chunks, None);
+        }
 
         // The scan state is `candidate = max(ready, max finish of scanned intervals)`.
         // Intervals before `first_alive` all finish before `ready`, so folding their
@@ -223,33 +249,38 @@ impl<P: Copy> Timeline<P> {
         while i < n {
             let k = i / CHUNK;
             let hi = ((k + 1) * CHUNK).min(n);
+            let chunk = &self.intervals[i..hi];
             if i == k * CHUNK {
-                // Whole chunk ahead: a fit at interval `j` inside it needs both
-                // `candidate + duration` and `(chunk-local max finish before j) +
-                // duration` to be ≤ `start[j] + EPS`; `start[j] ≤ last start` and the
-                // local headroom is ≤ `room[k]`, so if either bound falls short by
-                // more than a floating-point safety margin, no fit exists in the
-                // chunk and it is skipped whole.  The margin errs toward descending
-                // (a scanned chunk is always exact), never toward a wrong skip.
-                let last_start = self.intervals[hi - 1].start;
-                let bound = (last_start - candidate).min(idx.room[k]);
-                let margin =
-                    1e-12 * (last_start.abs() + candidate.abs() + idx.pmax[k].abs() + duration);
+                // Whole chunk ahead.  A fit before its first interval needs
+                // `first_start − candidate ≥ duration`; a fit before interval `j > 0`
+                // needs `start[j] − candidate` and `start[j] − (max finish before j)`
+                // to reach it, and those are at most `last_start − candidate` and
+                // `room`.  If the best of these bounds falls short by more than a
+                // floating-point safety margin, no fit exists and the chunk is
+                // skipped whole.  The margin errs toward scanning (a scanned chunk is
+                // always exact), never toward a wrong skip.
+                let summary = idx.summary(k, chunk);
+                let first_start = chunk[0].start;
+                let last_start = chunk[chunk.len() - 1].start;
+                let bound =
+                    (first_start - candidate).max((last_start - candidate).min(summary.room));
+                let margin = 1e-12
+                    * (first_start.abs()
+                        + last_start.abs()
+                        + candidate.abs()
+                        + summary.pmax.abs()
+                        + duration);
                 if bound < duration - TIME_EPS - margin {
-                    if idx.pmax[k] > candidate {
-                        candidate = idx.pmax[k];
+                    if summary.pmax > candidate {
+                        candidate = summary.pmax;
                     }
                     i = hi;
                     continue;
                 }
             }
-            for iv in &self.intervals[i..hi] {
-                if candidate + duration <= iv.start + TIME_EPS {
-                    return candidate;
-                }
-                if iv.finish > candidate {
-                    candidate = iv.finish;
-                }
+            match Self::scan(chunk, candidate, duration) {
+                ControlFlow::Break(start) => return start,
+                ControlFlow::Continue(c) => candidate = c,
             }
             i = hi;
         }
@@ -333,12 +364,18 @@ impl<P: Copy> Timeline<P> {
     /// Only valid when the caller guarantees the timeline's interval *order* is
     /// unchanged — which re-timing passes do by construction (they preserve every
     /// ordering decision).  No per-call invariant check: callers batch their updates
-    /// and verify [`Timeline::is_consistent`] once (debug builds).
-    pub(crate) fn set_window(&mut self, index: usize, start: f64, finish: f64) {
+    /// and verify [`Timeline::is_consistent`] once (debug builds).  Positions do not
+    /// shift, so only the gap-index summary of the interval's own chunk goes stale.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of bounds.
+    pub fn set_window(&mut self, index: usize, start: f64, finish: f64) {
         let iv = &mut self.intervals[index];
         iv.start = start;
         iv.finish = finish;
-        self.invalidate_from(index);
+        if let Some(summary) = self.index.get_mut().chunks.get_mut(index / CHUNK) {
+            *summary = None;
+        }
     }
 
     /// The busy interval covering `time`, if any (binary search).
@@ -405,6 +442,31 @@ impl<P: Copy> Timeline<P> {
     /// Iterates payloads in start-time order.
     pub fn payloads(&self) -> impl Iterator<Item = P> + '_ {
         self.intervals.iter().map(|iv| iv.payload)
+    }
+}
+
+/// Test-only work counters of the gap index, per thread: intervals read by gap-query
+/// scans, and the chunks whose summaries were rebuilt.  Absent from non-test builds.
+#[cfg(test)]
+mod probe {
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        static SCANNED: Cell<usize> = const { Cell::new(0) };
+        static REBUILT: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn scanned() {
+        SCANNED.with(|c| c.set(c.get() + 1));
+    }
+
+    pub(super) fn rebuilt(chunk: usize) {
+        REBUILT.with(|r| r.borrow_mut().push(chunk));
+    }
+
+    /// Returns and resets `(intervals scanned, chunks rebuilt in order)`.
+    pub(super) fn take() -> (usize, Vec<usize>) {
+        (SCANNED.with(|c| c.replace(0)), REBUILT.with(|r| r.take()))
     }
 }
 
@@ -675,5 +737,86 @@ mod tests {
         // And a real schedule difference must still be visible.
         b.set_window(0, 0.0, 1.5);
         assert_ne!(a, b);
+    }
+
+    /// `n` intervals of length 1 separated by holes of `hole(i)` before interval `i`;
+    /// the first interval starts at `hole(0)`.
+    fn packed(n: usize, mut hole: impl FnMut(usize) -> f64) -> Timeline<usize> {
+        let mut t = Timeline::new();
+        let mut cursor = 0.0f64;
+        for i in 0..n {
+            cursor += hole(i);
+            t.insert(cursor, 1.0, i);
+            cursor += 1.0;
+        }
+        t
+    }
+
+    /// Chunk holding the fit at `start`: the chunk of the first interval starting at or
+    /// after it (one past the last chunk for an append).
+    fn fit_chunk(t: &Timeline<usize>, start: f64) -> usize {
+        t.intervals().partition_point(|iv| iv.start < start) / CHUNK
+    }
+
+    #[test]
+    fn gap_query_skips_every_chunk_without_a_fitting_hole() {
+        // 2100 intervals, every hole shorter than the query: the answer is an append
+        // after the last interval, and no chunk may be scanned on the way there.
+        let mut rng = 0x5eed_0001u64;
+        let d = 2.0;
+        let t = packed(2100, |_| (lcg(&mut rng) % 100) as f64 / 100.0 * (d / 2.0));
+        for round in ["cold", "warm"] {
+            probe::take();
+            let got = t.earliest_gap(0.0, d);
+            let (scanned, _) = probe::take();
+            assert_eq!(got.to_bits(), reference_gap(&t, 0.0, d).to_bits());
+            assert_eq!(got, t.last_finish());
+            assert!(
+                scanned <= 2 * CHUNK,
+                "{round} query read {scanned} intervals of {}",
+                t.len()
+            );
+        }
+    }
+
+    #[test]
+    fn gap_query_rebuilds_only_the_stale_chunks_its_walk_reaches() {
+        // Unit holes everywhere except one 10-unit hole before interval 330 (chunk 10).
+        let mut t = packed(2000, |i| if i == 330 { 10.0 } else { 1.0 });
+        let d = 5.0;
+        let _ = t.earliest_gap(0.0, 50.0); // walks to the end: builds every summary
+        probe::take();
+
+        // An insert near the head shifts every later chunk: all of them go stale, but
+        // the next query stops at its fit and must rebuild nothing past that chunk.
+        t.insert(2.25, 0.5, 9999);
+        let got = t.earliest_gap(0.0, d);
+        let (_, rebuilt) = probe::take();
+        assert_eq!(got.to_bits(), reference_gap(&t, 0.0, d).to_bits());
+        let fit = fit_chunk(&t, got);
+        assert_eq!(fit, 10);
+        assert!(!rebuilt.is_empty());
+        assert!(
+            rebuilt.iter().all(|&k| k <= fit),
+            "rebuilt chunks {rebuilt:?} past the fit in chunk {fit}"
+        );
+
+        // A window rewrite moves no interval to another chunk, so only its own chunk
+        // goes stale: a walk to the end rebuilds exactly that one, and a walk that
+        // stops before it rebuilds nothing.
+        let _ = t.earliest_gap(0.0, 50.0); // rebuilds the tail the insert left stale
+        probe::take();
+        let pos = 40 * CHUNK + 3;
+        let iv = t.intervals()[pos];
+        t.set_window(pos, iv.start, iv.start + 0.5);
+        let got = t.earliest_gap(0.0, 50.0);
+        let (_, rebuilt) = probe::take();
+        assert_eq!(got.to_bits(), reference_gap(&t, 0.0, 50.0).to_bits());
+        assert_eq!(rebuilt, vec![40]);
+        t.set_window(pos, iv.start, iv.finish);
+        let got = t.earliest_gap(0.0, d);
+        let (_, rebuilt) = probe::take();
+        assert_eq!(fit_chunk(&t, got), 10);
+        assert_eq!(rebuilt, Vec::<usize>::new());
     }
 }

@@ -505,6 +505,96 @@ proptest! {
         }
     }
 
+    /// The same bit-identity where the index actually skips: long packed runs whose
+    /// holes straddle the query duration — some within `TIME_EPS` of it — a tail
+    /// chunk of one interval in some cases, and inserts, removals and window rewrites
+    /// interleaved with the queries so stale summaries meet every walk.
+    #[test]
+    fn chunked_gap_index_matches_the_scalar_reference_on_long_packed_runs(
+        chunks in 15usize..94,
+        tail in prop_oneof![Just(1usize), 0usize..32],
+        d in 0.5f64..8.0,
+        seed in any::<u64>(),
+    ) {
+        use bsa::schedule::timeline::TIME_EPS;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Mostly holes well short of `d`; a few at, within `TIME_EPS` of, or past it,
+        // so most chunks a walk crosses hold no fit and are skipped.
+        let near = [-2.0 * TIME_EPS, -0.5 * TIME_EPS, 0.0, 0.5 * TIME_EPS, 2.0 * TIME_EPS];
+        let hole = |rng: &mut StdRng| match rng.gen_range(0..256) {
+            0 | 1 => d + near[rng.gen_range(0..near.len())],
+            2 => rng.gen_range(d..3.0 * d),
+            _ => rng.gen_range(0.0..0.9 * d),
+        };
+        let mut timeline: bsa::schedule::Timeline<u32> = bsa::schedule::Timeline::new();
+        let mut cursor = 0.0f64;
+        for i in 0..32 * chunks + tail {
+            cursor += hole(&mut rng);
+            let len = rng.gen_range(0.25..4.0);
+            timeline.insert(cursor, len, i as u32);
+            cursor += len;
+        }
+        let span = timeline.last_finish();
+        for round in 0..300u32 {
+            let n = timeline.len();
+            match rng.gen_range(0..8) {
+                0 => {
+                    timeline.remove_index(rng.gen_range(0..n));
+                }
+                1 => {
+                    // Book an item where the scheduler would: at its earliest gap.
+                    let len = rng.gen_range(0.1..2.0 * d);
+                    let at = timeline.earliest_gap(rng.gen_range(0.0..span), len);
+                    timeline.insert(at, len, 100_000 + round);
+                }
+                2 => {
+                    // Move an interval inside its free neighbourhood, keeping the order.
+                    let pos = rng.gen_range(0..n);
+                    let iv = timeline.intervals()[pos];
+                    let lo = if pos == 0 { 0.0 } else { timeline.intervals()[pos - 1].finish };
+                    let hi = timeline
+                        .intervals()
+                        .get(pos + 1)
+                        .map_or(iv.finish + d, |next| next.start);
+                    let start = rng.gen_range(lo.min(iv.start)..=iv.start);
+                    let finish = rng.gen_range(start..=hi.max(start));
+                    timeline.set_window(pos, start, finish);
+                }
+                _ => {}
+            }
+            prop_assert!(timeline.is_consistent());
+            let ready = rng.gen_range(0.0..span);
+            let duration = match rng.gen_range(0..3) {
+                0 => d,
+                1 => d + near[rng.gen_range(0..near.len())],
+                _ => rng.gen_range(0.05..3.0 * d),
+            };
+            let got = timeline.earliest_gap(ready, duration);
+            let first_alive = timeline
+                .intervals()
+                .partition_point(|iv| iv.finish < ready - TIME_EPS);
+            let mut want = ready;
+            for iv in &timeline.intervals()[first_alive..] {
+                if want + duration <= iv.start + TIME_EPS {
+                    break;
+                }
+                if iv.finish > want {
+                    want = iv.finish;
+                }
+            }
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "round {}: chunked earliest_gap({}, {}) = {} != scalar {}",
+                round,
+                ready,
+                duration,
+                got,
+                want
+            );
+        }
+    }
+
     /// Seeded incremental re-timing equals the oracle on a freshly gapped placement.
     #[test]
     fn seeded_incremental_recompute_equals_the_oracle(
