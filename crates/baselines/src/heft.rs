@@ -45,12 +45,7 @@ fn upward_ranks(graph: &TaskGraph, system: &HeterogeneousSystem) -> Vec<f64> {
 fn priority_order(graph: &TaskGraph, system: &HeterogeneousSystem) -> Vec<TaskId> {
     let rank = upward_ranks(graph, system);
     let mut order: Vec<TaskId> = graph.task_ids().collect();
-    order.sort_by(|&a, &b| {
-        rank[b.index()]
-            .partial_cmp(&rank[a.index()])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| rank[b.index()].total_cmp(&rank[a.index()]).then(a.cmp(&b)));
     order
 }
 
@@ -248,8 +243,7 @@ impl Solver for ContentionObliviousHeft {
         for list in &mut per_proc {
             list.sort_by(|&a, &b| {
                 ideal_start[a.index()]
-                    .partial_cmp(&ideal_start[b.index()])
-                    .unwrap()
+                    .total_cmp(&ideal_start[b.index()])
                     .then(a.cmp(&b))
             });
         }

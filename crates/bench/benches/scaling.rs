@@ -7,15 +7,9 @@
 //! each run.  The two runs must produce identical schedules (the modes differ in cost,
 //! never in results; the property suite pins this down, and this bench re-checks every
 //! placement and start time per case).  Each case also reports the incremental kernel's
-//! aggregated phase counters (passes, fallbacks, delta passes/evals, mean cone size)
-//! so the JSON records how much decision-graph work the machinery actually did, not
-//! just how long it took.  In `--quick` mode the 1000-task cell doubles as a CI gate:
-//! the run exits non-zero when the cone-cap backstop (a flat sweep forced *mid-pass*
-//! because a cone outgrew its routing estimate — a crossover-model misprediction)
-//! fires on more than 25% of passes, or when the delta kernel finishes zero passes
-//! (the measured router has degenerated to all-flat).  Model-routed flat sweeps are
-//! deliberate — past the measured crossover the flat sweep *is* the cheapest kernel —
-//! so the total flat share (`fallback_rate`) is reported but not gated.
+//! aggregated phase counters (passes, flat sweeps, mean relaxed nodes per pass) so the
+//! JSON records how much decision-graph work the kernel actually did, not just how
+//! long it took.  The run exits non-zero when any cell's two schedules differ.
 //!
 //! Unlike the Criterion benches this is a plain `harness = false` binary so it can emit
 //! a machine-readable `BENCH_scaling.json` next to the human-readable table — CI runs
@@ -53,17 +47,13 @@ struct CaseResult {
     migrations: usize,
     retime_passes: usize,
     retime_fallbacks: usize,
-    retime_delta_passes: usize,
-    retime_delta_evals: usize,
-    retime_flat_cap: usize,
     mean_cone: f64,
     schedules_equal: bool,
 }
 
 impl CaseResult {
-    /// Share of passes that ran a full flat sweep instead of a cone- or delta-local
-    /// kernel.  Reported, not gated: most flat sweeps are routed there deliberately by
-    /// the measured crossover models.
+    /// Share of passes that ran the flat sweep instead of the cone kernel.  BSA's
+    /// passes are fully placed, so every pass above the 64-node floor is flat.
     fn fallback_rate(&self) -> f64 {
         if self.retime_passes == 0 {
             0.0
@@ -71,25 +61,13 @@ impl CaseResult {
             self.retime_fallbacks as f64 / self.retime_passes as f64
         }
     }
-
-    /// Share of passes where the cone-cap backstop abandoned a half-built cone — the
-    /// routing model predicted cone-local work and was wrong.  The asymptotic health
-    /// metric the quick CI gate guards: a healthy model keeps mispredictions rare.
-    fn cap_rate(&self) -> f64 {
-        if self.retime_passes == 0 {
-            0.0
-        } else {
-            self.retime_flat_cap as f64 / self.retime_passes as f64
-        }
-    }
 }
 
 fn grid(quick: bool) -> Vec<Case> {
     let mut cases = Vec::new();
     if quick {
-        // The 1000-task cell is the CI canary for asymptotic health: big enough that a
-        // regression to flat-sweep-dominated re-timing is visible in the fallback
-        // rate, small enough to stay in smoke-test budget at one repetition.
+        // The 1000-task cell is the CI canary: big enough to exercise the re-timing
+        // kernel at scale, small enough to stay in smoke-test budget at one repetition.
         for &(tasks, procs) in &[(60, 16), (100, 16), (1000, 16)] {
             cases.push(Case {
                 tasks,
@@ -156,9 +134,6 @@ fn bench_case(case: &Case) -> CaseResult {
     let mut migrations = 0;
     let mut retime_passes = 0;
     let mut retime_fallbacks = 0;
-    let mut retime_delta_passes = 0;
-    let mut retime_delta_evals = 0;
-    let mut retime_flat_cap = 0;
     let mut mean_cone = 0.0;
     let mut schedules_equal = true;
     for rep in 0..case.reps {
@@ -183,9 +158,6 @@ fn bench_case(case: &Case) -> CaseResult {
             migrations = inc_trace.num_migrations();
             retime_passes = inc_trace.retime.passes;
             retime_fallbacks = inc_trace.retime.fallbacks;
-            retime_delta_passes = inc_trace.retime.delta_passes;
-            retime_delta_evals = inc_trace.retime.delta_evals;
-            retime_flat_cap = inc_trace.retime.flat_by_cap;
             mean_cone = inc_trace.retime.mean_cone();
         }
         full_ms = full_ms.min(oracle_ms);
@@ -201,9 +173,6 @@ fn bench_case(case: &Case) -> CaseResult {
         migrations,
         retime_passes,
         retime_fallbacks,
-        retime_delta_passes,
-        retime_delta_evals,
-        retime_flat_cap,
         mean_cone,
         schedules_equal,
     }
@@ -230,9 +199,7 @@ fn write_json(path: &str, quick: bool, results: &[CaseResult]) -> std::io::Resul
             "    {{\"tasks\": {}, \"procs\": {}, \"reps\": {}, \"full_ms\": {:.3}, \
              \"incremental_ms\": {:.3}, \"speedup\": {:.3}, \"schedule_length\": {:.3}, \
              \"migrations\": {}, \"retime_passes\": {}, \"retime_fallbacks\": {}, \
-             \"fallback_rate\": {:.4}, \"retime_delta_passes\": {}, \
-             \"retime_delta_evals\": {}, \"retime_flat_cap\": {}, \"cap_rate\": {:.4}, \
-             \"mean_cone\": {:.1}, \"schedules_equal\": {}}}{}\n",
+             \"fallback_rate\": {:.4}, \"mean_cone\": {:.1}, \"schedules_equal\": {}}}{}\n",
             r.tasks,
             r.procs,
             r.reps,
@@ -244,10 +211,6 @@ fn write_json(path: &str, quick: bool, results: &[CaseResult]) -> std::io::Resul
             r.retime_passes,
             r.retime_fallbacks,
             r.fallback_rate(),
-            r.retime_delta_passes,
-            r.retime_delta_evals,
-            r.retime_flat_cap,
-            r.cap_rate(),
             r.mean_cone,
             r.schedules_equal,
             if i + 1 < results.len() { "," } else { "" }
@@ -280,14 +243,14 @@ fn main() {
     );
     println!(
         "| tasks | procs | full ms | incremental ms | speedup | migrations | mean cone | \
-         delta | fb rate | cap rate | equal |"
+         fb rate | equal |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|");
     let mut results = Vec::new();
     for case in &cases {
         let r = bench_case(case);
         println!(
-            "| {} | {} | {:.1} | {:.1} | {:.2}x | {} | {:.1} | {} | {:.3} | {:.3} | {} |",
+            "| {} | {} | {:.1} | {:.1} | {:.2}x | {} | {:.1} | {:.3} | {} |",
             r.tasks,
             r.procs,
             r.full_ms,
@@ -295,9 +258,7 @@ fn main() {
             r.full_ms / r.incremental_ms,
             r.migrations,
             r.mean_cone,
-            r.retime_delta_passes,
             r.fallback_rate(),
-            r.cap_rate(),
             r.schedules_equal
         );
         results.push(r);
@@ -309,41 +270,6 @@ fn main() {
             bad.tasks, bad.procs
         );
         std::process::exit(1);
-    }
-    // Quick-mode asymptotic gate, two-sided.  (a) The cone-cap backstop — a flat
-    // sweep forced mid-pass because a cone outgrew its estimate — marks a routing
-    // misprediction; a healthy crossover model keeps those rare.  (b) The delta kernel
-    // must finish at least one pass at the canary size, or the measured router has
-    // degenerated to all-flat (the oracle with extra steps).  Deliberate model-routed
-    // flat sweeps are NOT gated: past the measured crossover, flat is the cheapest
-    // kernel and routing there is the optimization, not a regression.
-    const MAX_CAP_RATE: f64 = 0.25;
-    if quick {
-        if let Some(bad) = results
-            .iter()
-            .find(|r| r.tasks >= 1000 && r.cap_rate() > MAX_CAP_RATE)
-        {
-            eprintln!(
-                "ERROR: cone-cap backstop rate {:.3} at {} tasks / {} procs exceeds the {} \
-                 ceiling — the crossover model is mispredicting cone sizes",
-                bad.cap_rate(),
-                bad.tasks,
-                bad.procs,
-                MAX_CAP_RATE
-            );
-            std::process::exit(1);
-        }
-        if let Some(bad) = results
-            .iter()
-            .find(|r| r.tasks >= 1000 && r.retime_delta_passes == 0)
-        {
-            eprintln!(
-                "ERROR: zero delta passes at {} tasks / {} procs — the delta-vs-flat router \
-                 has degenerated to all-flat re-timing",
-                bad.tasks, bad.procs
-            );
-            std::process::exit(1);
-        }
     }
     write_json(&out_path, quick, &results).expect("write BENCH_scaling.json");
     println!("\nwrote {out_path}");

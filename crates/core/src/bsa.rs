@@ -29,8 +29,8 @@
 //! rolling them back; an accepted migration is committed, a migration whose re-routing
 //! produces un-timeable (cyclic) ordering decisions is rolled back through the same
 //! undo log.  No whole-builder snapshot is ever cloned.  After each accepted migration
-//! only the *dirty cone* — the migrated task, its re-routed messages, and everything
-//! downstream — is re-timed ([`ScheduleBuilder::recompute_times_incremental`]);
+//! the schedule is re-timed by one flat sweep over the reduced decision graph
+//! ([`ScheduleBuilder::recompute_times_incremental`]);
 //! [`crate::config::RetimingMode::Full`] switches back to the full-relaxation oracle,
 //! which produces bit-identical times at a much higher cost per migration.
 
@@ -139,7 +139,7 @@ impl Bsa {
             cursor = builder.finish_of(t);
         }
         // The serialized schedule is compacted by construction; this full pass is a
-        // no-op on the times but establishes the clean baseline the dirty-cone
+        // no-op on the times but establishes the clean baseline the incremental
         // re-timing passes extend from.
         builder
             .recompute_times()

@@ -26,8 +26,8 @@ pub enum PivotStrategy {
 /// in cost.  `Full` is kept as the oracle and for the scaling benchmark's baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum RetimingMode {
-    /// Dirty-cone incremental relaxation: only the nodes affected by the migration and
-    /// their downstream cone are re-timed
+    /// The incremental kernels: a flat sweep over the reduced decision graph on fully
+    /// placed schedules, the dirty cone otherwise
     /// ([`bsa_schedule::ScheduleBuilder::recompute_times_from`]).
     #[default]
     Incremental,

@@ -106,9 +106,8 @@ pub fn serialize(graph: &TaskGraph, exec_costs: &[f64]) -> Serialization {
     rest.sort_by(|&a, &b| {
         levels
             .b_level(b)
-            .partial_cmp(&levels.b_level(a))
-            .unwrap()
-            .then(levels.t_level(a).partial_cmp(&levels.t_level(b)).unwrap())
+            .total_cmp(&levels.b_level(a))
+            .then(levels.t_level(a).total_cmp(&levels.t_level(b)))
             .then(a.cmp(&b))
     });
     // Appending by descending b-level alone can violate precedence only when an OB task's

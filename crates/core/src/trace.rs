@@ -93,26 +93,20 @@ impl BsaTrace {
         ));
         if self.retime.passes > 0 {
             s.push_str(&format!(
-                "re-timing: {} passes ({} fallbacks), {} seeds -> {} cone nodes / {} cone edges, \
+                "re-timing: {} passes, {} seeds -> {} cone nodes / {} cone edges, \
                  {} changed (mean cone {:.1})\n",
                 self.retime.passes,
-                self.retime.fallbacks,
                 self.retime.seed_nodes,
                 self.retime.cone_nodes,
                 self.retime.cone_edges,
                 self.retime.changed_nodes,
                 self.retime.mean_cone()
             ));
-            if self.retime.delta_passes > 0 || self.retime.fallbacks > 0 {
-                s.push_str(&format!(
-                    "  kernel mix: {} delta ({} evals), flat: {} by seeds / {} by model / {} by cap\n",
-                    self.retime.delta_passes,
-                    self.retime.delta_evals,
-                    self.retime.flat_by_seeds,
-                    self.retime.flat_by_model,
-                    self.retime.flat_by_cap
-                ));
-            }
+            s.push_str(&format!(
+                "  kernel mix: {} cone, {} flat\n",
+                self.retime.passes.saturating_sub(self.retime.fallbacks),
+                self.retime.fallbacks
+            ));
         }
         for m in &self.migrations {
             s.push_str(&format!(
@@ -153,14 +147,13 @@ mod tests {
             serialized_length: 100.0,
             final_length: 80.0,
             retime: RetimeTotals {
-                passes: 1,
-                fallbacks: 0,
+                passes: 2,
+                fallbacks: 1,
                 seed_nodes: 2,
-                cone_nodes: 5,
+                cone_nodes: 10,
                 cone_edges: 6,
                 changed_nodes: 3,
-                delta_passes: 1,
-                delta_evals: 4,
+                flat_by_seeds: 1,
                 ..RetimeTotals::default()
             },
         };
@@ -169,9 +162,9 @@ mod tests {
         assert!(s.contains("T1 T2"));
         assert!(s.contains("T2 : P2 -> P1"));
         assert!(s.contains("100.00 -> final length: 80.00"));
-        assert!(s.contains("re-timing: 1 passes (0 fallbacks)"));
+        assert!(s.contains("re-timing: 2 passes, 2 seeds"));
         assert!(s.contains("mean cone 5.0"));
-        assert!(s.contains("kernel mix: 1 delta (4 evals)"));
+        assert!(s.contains("kernel mix: 1 cone, 1 flat"));
         assert_eq!(trace.num_migrations(), 1);
         assert_eq!(trace.migrations_of_pivot(ProcId(1)).len(), 1);
         assert_eq!(trace.migrations_of_pivot(ProcId(0)).len(), 0);

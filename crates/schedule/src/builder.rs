@@ -13,9 +13,8 @@
 //! [`ScheduleBuilder::unplace_task`] / [`ScheduleBuilder::clear_route`], and can ask for a
 //! global re-timing that preserves every ordering decision with
 //! [`ScheduleBuilder::recompute_times`] (the "bubble up" compaction BSA relies on) — or
-//! for the incremental dirty-cone variant [`ScheduleBuilder::recompute_times_from`],
-//! which relaxes only the nodes downstream of the mutations made since the last
-//! re-timing.
+//! for the incremental variant [`ScheduleBuilder::recompute_times_from`], which uses
+//! the mutations made since the last re-timing to skip work.
 //!
 //! Speculative work (evaluating a candidate migration or message route without
 //! committing it) goes through the transactional API in [`crate::txn`]:
@@ -62,7 +61,7 @@ pub struct ScheduleBuilder<'a> {
     /// Nesting depth of open transactions (see [`crate::txn`]).
     pub(crate) txn_depth: usize,
     /// Decision-graph nodes whose predecessor set changed since the last re-timing —
-    /// the seeds of the next dirty-cone pass.  Deduplicated at insertion via the
+    /// the seeds of the next re-timing pass.  Deduplicated at insertion via the
     /// generation stamps below (so bulk mutation batches don't bloat the list or the
     /// per-transaction snapshot clone); may still contain stale hop indices, which the
     /// incremental pass filters.
@@ -78,10 +77,10 @@ pub struct ScheduleBuilder<'a> {
     /// dead storage, exactly like the scaffold's slot maps).
     pub(crate) hop_dirty_stamp: Vec<Vec<u64>>,
     /// Number of currently placed tasks (maintained by place/unplace and their undos),
-    /// so the re-timing pass can decide in O(1) whether the flat relaxation — which
-    /// needs every task placed — is an eligible routing target.
+    /// so the re-timing pass can decide in O(1) whether to run the flat sweep, which
+    /// needs every task placed.
     pub(crate) placed_count: usize,
-    /// Persistent decision-graph scaffolding + scratch arenas for the dirty-cone pass
+    /// Persistent decision-graph scaffolding + scratch arenas for the re-timing pass
     /// (see [`crate::scaffold`]).  Kept in lockstep by the route mutations below and by
     /// the undo interpreter; never rebuilt from scratch.
     pub(crate) scaffold: RetimeScaffold,
@@ -457,13 +456,15 @@ impl<'a> ScheduleBuilder<'a> {
         recompute(self)
     }
 
-    /// Incrementally re-times only the *dirty cone*: the decision-graph nodes whose
+    /// Incrementally re-times the schedule from the decision-graph nodes whose
     /// predecessor set changed since the last re-timing (tracked automatically by every
-    /// mutation), the extra `seeds` given by the caller, and everything downstream of
-    /// them.  Produces times identical to [`ScheduleBuilder::recompute_times`] provided
-    /// the rest of the schedule was already compacted (which holds whenever every prior
-    /// mutation batch was followed by a successful re-timing).  See
-    /// [`crate::incremental`].
+    /// mutation) and the extra `seeds` given by the caller.  A fully placed schedule of
+    /// at least [`crate::incremental::FALLBACK_FLOOR`] nodes gets one flat sweep over
+    /// the reduced decision graph; any other gets only the *dirty cone*, the seeds and
+    /// everything downstream of them.  Produces times identical to
+    /// [`ScheduleBuilder::recompute_times`] provided the rest of the schedule was
+    /// already compacted (which holds whenever every prior mutation batch was followed
+    /// by a successful re-timing).  See [`crate::incremental`].
     ///
     /// On error nothing is modified (and the dirty set is kept), so a transaction
     /// rollback restores the exact pre-transaction state.
@@ -474,8 +475,8 @@ impl<'a> ScheduleBuilder<'a> {
         recompute_from(self, seeds)
     }
 
-    /// [`ScheduleBuilder::recompute_times_from`] with no extra seeds: relaxes the cone
-    /// of the mutations made since the last re-timing.
+    /// [`ScheduleBuilder::recompute_times_from`] with no extra seeds: re-times after the
+    /// mutations made since the last re-timing.
     pub fn recompute_times_incremental(&mut self) -> Result<RetimeStats, RecomputeError> {
         self.recompute_times_from(&[])
     }

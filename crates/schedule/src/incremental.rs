@@ -1,160 +1,111 @@
-//! Dirty-cone incremental re-timing (the fast path of the scheduling kernel).
+//! Incremental re-timing: the hot path of the scheduling kernel.
 //!
-//! [`crate::recompute`] relaxes *every* task and message hop from scratch — O(schedule)
-//! per call.  After a single migration, though, almost all of the schedule is untouched:
-//! only the migrated task, the re-routed messages, and the nodes whose processor- or
-//! link-order predecessor changed can move, plus whatever is downstream of them.  This
-//! module relaxes exactly that set — the **dirty cone** — in the style of irregular
-//! wavefront propagation (see PAPERS.md, Gomes & Teodoro; DESIGN.md §7.2):
+//! [`crate::recompute`] relaxes every task and message hop from scratch and rebuilds
+//! every timeline.  BSA re-times after each accepted migration so the tasks left behind
+//! bubble up (paper §2.3), so this module computes the same earliest-start fixpoint
+//! with two kernels that run on the builder's persistent arenas (`crate::scaffold`;
+//! DESIGN.md §7.2):
 //!
-//! 1. **Seeds.**  Every builder mutation records the decision-graph nodes whose
-//!    predecessor set it changed (see [`crate::txn`]); the caller may add extra task
-//!    seeds.  Stale entries (hops of a route that has since shrunk) are filtered out;
-//!    duplicates are deduplicated.
-//! 2. **Cone.**  The successor closure of the seeds under the *current* decision edges:
-//!    processor order, link order, route chains, and local-message precedence.  The cone
-//!    is successor-closed, so every node outside it has only outside predecessors — its
-//!    committed time is still the earliest-start fixpoint and can be used as-is.
-//! 3. **Relaxation.**  A Kahn pass over the cone only, reading committed finish times
-//!    for out-of-cone predecessors.  If the pass cannot consume the whole cone the
-//!    ordering decisions are cyclic ([`RecomputeError::CyclicDecisions`]); any new cycle
-//!    necessarily passes through a changed edge, hence through the cone, so cycle
-//!    detection is not weakened by looking at the cone alone.
-//! 4. **Write-back.**  Only nodes whose `(start, finish)` actually changed are touched.
-//!    Re-timing preserves every timeline's interval *order*, so each changed window is
-//!    overwritten in place at its (cached) position — no interval is ever removed or
-//!    reinserted.  Inside a transaction the old times are recorded for rollback.
+//! * **The flat sweep** (`flat_relax`) relaxes the whole *reduced* decision graph.  It
+//!   runs on every pass over a fully placed schedule with at least [`FALLBACK_FLOOR`]
+//!   decision nodes: every pass of BSA's migration loop, of the neighbourhood crew's
+//!   mirrors, and of `Solution::resolve_onto`.
+//! * **The cone kernel** relaxes only the successor closure of the dirty seeds.  It runs
+//!   on every other pass: partial placements made through the public API, and tiny
+//!   graphs.
 //!
-//! Since PR 3 the pass runs on the builder's persistent scaffold (`crate::scaffold`): epoch-
-//! stamped slot maps instead of per-call `vec![NONE; …]` fills, `clear()`-reused arenas
-//! for the cone/CSR/queue, an O(1) `total_hops` mirror instead of the O(E) `hop_base`
-//! prefix scan, and watermark-based undo records backed by persistent stacks.  The cost
-//! of one migration is proportional to its cone; in steady state (once the arenas reach
-//! their high-water capacity) the pass performs **zero heap allocations** — asserted by
-//! the counting-allocator test in `tests/zero_alloc.rs`.
+//! The rule reads only the placement count and the graph size, and both kernels compute
+//! the [`crate::recompute`] fixpoint bit for bit, so it never changes a result.
 //!
-//! Cone-proportional is only a win while the cone is small.  A migration of an
-//! early-schedule task dirties nearly everything downstream — at 1000+ tasks the mean
-//! successor closure covers most of the schedule — yet the set of nodes whose *times*
-//! actually move is far smaller, because committed slack absorbs most perturbations.
-//! The pass therefore routes between several same-result kernels (see [`RetimeKind`]):
+//! **The reduced graph.**  The decision graph has an edge per processor-order pair, per
+//! link-order pair, per hop of a routed message's chain (producer → hop 0 → … → last
+//! hop → consumer), and one per route-less message.  The flat sweep lists its edges in
+//! one walk over the timelines: processor order from the processor timelines, link
+//! order and every chain from the link timelines, durations on the way.  It leaves out
+//! a route-less message whose producer runs earlier on the consumer's processor: the
+//! processor chain already orders the two, and `f64` max and adding a non-negative
+//! duration are monotone, so the fixpoint is bit-identical.  Most of BSA's messages are
+//! local; on a 3000-task, 16-processor instance this keeps 86 k of 316 k edges.
 //!
-//! * the **delta kernel** (`try_delta`, tried first on large full placements) —
-//!   value-driven propagation over a committed-start-ordered worklist that stops
-//!   wherever slack absorbs the change, costing O(|affected| · log) instead of
-//!   O(|closure|), with an evaluation budget ([`DELTA_EVAL_NUM`]) bounding the
-//!   downside of an attempt that has to bail;
-//! * the cone-local Kahn kernel above, for small problems and delta bails whose
-//!   horizon stays small;
-//! * `flat_relax` — a whole-schedule relaxation on the same arenas (CSR via two
-//!   counting sweeps, level-batched frontier, in-place write-back, zero steady-state
-//!   allocations) that replaces the much costlier [`crate::recompute`] oracle when
-//!   nearly everything must be re-timed anyway.  It is routed to by the seed count
-//!   ([`FALLBACK_NUM`]), by the *measured* cone-vs-flat crossover model on the
-//!   seed-horizon estimate (`RetimeScaffold::flat_by_model`, which scales the
-//!   estimate by the observed cone-per-estimate ratio of completed cone passes), or
-//!   by the mid-discovery cap as backstop.
+//! **Errors without an edge scan.**  Every placement marks its task dirty and every
+//! route change marks its consumer (`crate::txn`), and each successful pass has checked
+//! the route-less messages of every task that was dirty.  So only a dirty task's
+//! route-less message can cross processors ([`RecomputeError::MissingRoute`]) or run
+//! against processor order.  The flat sweep checks the messages of dirty tasks only,
+//! and keeps a turned-around one as an edge, which closes a cycle that the Kahn pass
+//! reports ([`RecomputeError::CyclicDecisions`]).  Debug builds also sweep every
+//! route-less message and assert the invariant.
 //!
-//! The result is bit-identical to a full [`crate::recompute`] pass **provided the
-//! schedule outside the cone is already compacted** — which BSA guarantees by
-//! re-timing after the serialization phase and after every accepted migration.  The
-//! property-based tests in `tests/property_based.rs` pin this equivalence down
-//! against the full-relaxation oracle.
+//! **The cone kernel.**
 //!
-//! Errors are detected before anything is written, so a failed call leaves the builder
-//! (and its dirty list) untouched.
+//! 1. *Seeds.*  The decision-graph nodes whose predecessor set a mutation changed (see
+//!    [`crate::txn`]), plus the caller's extra task seeds.  Stale entries (hops of a
+//!    route that has since shrunk) are filtered out; duplicates are merged.
+//! 2. *Cone.*  The successor closure of the seeds under the current decision edges.  It
+//!    is successor-closed, so every node outside it has only outside predecessors: its
+//!    committed time is still the fixpoint and is read as-is.
+//! 3. *Relaxation.*  A Kahn pass over the cone only.  A new cycle passes through a
+//!    changed edge, hence through the cone, so looking at the cone alone does not
+//!    weaken cycle detection.
+//!
+//! The result equals a full [`crate::recompute`] pass **provided the schedule outside
+//! the cone is already compacted**, which holds whenever every earlier mutation batch
+//! was followed by a successful re-timing.  `tests/property_based.rs` pins both kernels
+//! against the oracle.
+//!
+//! Both kernels write back only the nodes whose window changed, in place (re-timing
+//! keeps every timeline's interval order), save the old windows for rollback inside a
+//! transaction, and allocate nothing once the arenas reach their high-water capacity
+//! (`tests/zero_alloc.rs`).  Errors are detected before anything is written, so a
+//! failed call leaves the builder (and its dirty list) untouched.
 
 use crate::builder::ScheduleBuilder;
 use crate::recompute::RecomputeError;
 use crate::scaffold::{slot_lookup, RetimeScaffold, NONE};
 use crate::txn::{DirtyNode, UndoOp};
-use bsa_taskgraph::TaskId;
+use bsa_network::{LinkId, LinkMode, ProcId};
+use bsa_taskgraph::{EdgeId, TaskId};
 
-/// Which same-result kernel an incremental re-timing pass finished on, and — for the
-/// flat sweeps — which routing rule sent it there.  Every kernel computes the identical
-/// earliest-start fixpoint; the kind is diagnostics for the crossover model only.
+/// Which kernel ran an incremental re-timing pass.  Both compute the identical
+/// earliest-start fixpoint; the kind is diagnostics only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetimeKind {
-    /// Cone-local Kahn relaxation over the successor closure of the seeds (the classic
-    /// dirty-cone kernel; also what an empty pass reports).
+    /// Kahn relaxation over the successor closure of the seeds (also what an empty
+    /// pass reports).
     #[default]
     Cone,
-    /// Value-driven delta propagation: re-evaluation stopped wherever committed slack
-    /// absorbed the change, without ever materializing the successor closure.
-    Delta,
-    /// Flat sweep, routed by the seed-count check ([`FALLBACK_NUM`]).
-    FlatSeeds,
-    /// Flat sweep, routed by the measured crossover model on the seed-horizon estimate
-    /// (see `RetimeScaffold::flat_by_model`).
-    FlatModel,
-    /// Flat sweep, after cone discovery outgrew its cap mid-expansion.
-    FlatCap,
+    /// Kahn relaxation over the whole reduced decision graph.
+    Flat,
 }
 
 /// What an incremental re-timing pass did, for diagnostics, the BSA trace's phase
 /// counters, and the scaling benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetimeStats {
-    /// Live, deduplicated seeds the pass started from (setup phase).
+    /// Live, deduplicated seeds the pass started from.
     pub seed_nodes: usize,
-    /// Nodes (tasks + hops) the pass touched: the relaxed dirty cone (cone kernel),
-    /// the discovered affected set (delta kernel), or the whole decision graph (flat).
+    /// Nodes (tasks + hops) the pass relaxed: the dirty cone, or the whole decision
+    /// graph for a flat sweep.
     pub cone_nodes: usize,
-    /// Cone-local dependency edges relaxed by the Kahn pass (relax phase; the delta
-    /// kernel never materializes an edge list and reports 0).
+    /// Dependency edges the Kahn pass relaxed: the cone's, or the reduced graph's.
     pub cone_edges: usize,
-    /// Cone nodes whose start or finish time actually changed (write-back phase).
+    /// Nodes whose start or finish time actually changed.
     pub changed_nodes: usize,
-    /// Whether the pass ran the arena-backed **flat relaxation** instead of a
-    /// node-local kernel (`kind` is one of the `Flat*` variants).  Identical results
-    /// either way; `cone_nodes` then counts the whole decision graph.
-    pub fell_back: bool,
-    /// Which kernel finished the pass, and why (see [`RetimeKind`]).
+    /// Which kernel ran the pass.
     pub kind: RetimeKind,
-    /// Node evaluations spent by the delta kernel this pass — including the evaluations
-    /// of an attempt that hit its budget and bailed to the classic routing.
-    pub delta_evals: usize,
 }
 
-/// When the (deduplicated) seeds alone exceed `FALLBACK_NUM / FALLBACK_DEN` of all
-/// decision-graph nodes, the incremental pass runs the arena-backed flat relaxation
-/// instead: the cone can only be larger still, and at that size the flat sweep beats
-/// the cone machinery's per-node bookkeeping.  Deciding on the seed count — *before*
-/// any cone construction — keeps the fallback free: no partially built cone is thrown
-/// away.  In BSA's steady state (a handful of seeds per migration) it never fires; it
-/// catches bulk-mutation batches such as re-timing a freshly built schedule.  The same
-/// ratio caps cone *construction*: a cone that grows past it mid-discovery abandons and
-/// re-routes to the flat pass (cheap since the arenas are reused either way).
-pub const FALLBACK_NUM: usize = 3;
-/// See [`FALLBACK_NUM`].
-pub const FALLBACK_DEN: usize = 4;
-
-/// Below this many decision-graph nodes the flat re-routes never fire: the cone
-/// machinery is cheap regardless, and bailing out would only reduce test coverage of
-/// the incremental path.
+/// Passes over a fully placed schedule with at least this many decision-graph nodes
+/// (tasks + booked hops) run the flat sweep; every other pass runs the cone kernel.
+/// Below it the cone kernel is cheap regardless, and the small graphs of the unit and
+/// property tests keep exercising it.
 pub const FALLBACK_FLOOR: usize = 64;
 
-/// Evaluation budget of the delta kernel, as a fraction of the decision graph: the
-/// value-driven pass may spend at most `total_nodes · DELTA_EVAL_NUM / DELTA_EVAL_DEN`
-/// node evaluations before bailing to the classic cone/flat routing.  One delta
-/// evaluation costs about one flat-relax node visit (a full fold over the node's
-/// predecessors), so a bailed attempt wastes at most ~one flat sweep.  The
-/// committed-start-ordered worklist keeps successful passes near one evaluation per
-/// affected node, but a sizeable minority of migrations genuinely touch more than
-/// half the decision graph (compaction ripples every removal downstream), so the
-/// budget is the full graph — anything tighter bails passes that were about to
-/// converge.  The budget is also the divergence backstop: a decision cycle with
-/// positive total duration grows values forever and can only exit through it (the
-/// classic kernels then report the cycle).
-pub const DELTA_EVAL_NUM: usize = 1;
-/// See [`DELTA_EVAL_NUM`].
-pub const DELTA_EVAL_DEN: usize = 1;
-
 /// Whether a dirty entry still refers to an existing decision-graph node.
-fn node_exists(b: &ScheduleBuilder<'_>, n: DirtyNode) -> bool {
+fn node_exists(sc: &RetimeScaffold, n: DirtyNode) -> bool {
     match n {
         DirtyNode::Task(_) => true,
-        DirtyNode::Hop(e, k) => (k as usize) < b.routes[e.index()].len(),
+        DirtyNode::Hop(e, k) => k < sc.hop_len[e.index()],
     }
 }
 
@@ -202,351 +153,126 @@ fn add_to_cone(
             }
         },
     };
-    sc.push_node_pos(pos);
+    sc.tpos.push(pos);
     Ok(slot)
 }
 
-/// Committed start instant of a live decision-graph node (seed-horizon computation).
-fn start_of_node(b: &ScheduleBuilder<'_>, n: DirtyNode) -> f64 {
-    match n {
-        DirtyNode::Task(t) => b.task_start[t.index()],
-        DirtyNode::Hop(e, k) => b.routes[e.index()][k as usize].start,
+/// Level-batched Kahn relaxation of the scaffold's `dep_edges` over nodes `0..m`, from
+/// the initial starts in `start` and the durations in `dur`; fills `finish`.  Returns
+/// `false` when some node was never reached: the edges contain a cycle.
+///
+/// The adjacency is a CSR built in place: `offsets[u]` first counts `u`'s out-edges,
+/// the prefix sum turns the counts into row ends, and filling each row backwards leaves
+/// `offsets[u]` at the row start.  Each batch settles one level of ready nodes from a
+/// pair of swapped frontier arenas.  Max-merges commute, so the order within a level
+/// cannot change the result, and the settled count detects cycles like a FIFO would.
+fn relax(sc: &mut RetimeScaffold, m: usize) -> bool {
+    let RetimeScaffold {
+        ref dep_edges,
+        ref mut indeg,
+        ref mut offsets,
+        ref mut csr,
+        ref mut start,
+        ref mut finish,
+        ref dur,
+        ref mut frontier,
+        ref mut frontier_next,
+        ..
+    } = *sc;
+    indeg.resize(m, 0);
+    offsets.resize(m + 1, 0);
+    for &(u, v) in dep_edges {
+        offsets[u as usize] += 1;
+        indeg[v as usize] += 1;
     }
-}
+    let mut end = 0;
+    for o in offsets.iter_mut() {
+        end += *o;
+        *o = end;
+    }
+    csr.resize(dep_edges.len(), 0);
+    for &(u, v) in dep_edges {
+        let o = &mut offsets[u as usize];
+        *o -= 1;
+        csr[*o as usize] = v;
+    }
 
-/// Committed `(start, finish)` window of a live decision-graph node.
-fn committed_times(b: &ScheduleBuilder<'_>, n: DirtyNode) -> (f64, f64) {
-    match n {
-        DirtyNode::Task(t) => (b.task_start[t.index()], b.task_finish[t.index()]),
-        DirtyNode::Hop(e, k) => {
-            let hop = &b.routes[e.index()][k as usize];
-            (hop.start, hop.finish)
+    finish.resize(m, 0.0);
+    frontier.extend((0..m as u32).filter(|&i| indeg[i as usize] == 0));
+    let mut settled = 0usize;
+    while !frontier.is_empty() {
+        for &u in frontier.iter() {
+            let u = u as usize;
+            let f = start[u] + dur[u];
+            finish[u] = f;
+            settled += 1;
+            for &v in &csr[offsets[u] as usize..offsets[u + 1] as usize] {
+                let v = v as usize;
+                if f > start[v] {
+                    start[v] = f;
+                }
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    frontier_next.push(v as u32);
+                }
+            }
         }
+        std::mem::swap(frontier, frontier_next);
+        frontier_next.clear();
     }
+    settled == m
 }
 
-/// Discovers `n` for the delta kernel: claims a slot, records the timeline position,
-/// and initializes the node's scratch window to its committed one (undiscovered
-/// nodes *are* their committed windows, so discovery must be value-neutral).
-fn delta_discover(
-    b: &ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    n: DirtyNode,
-    pos_hint: Option<u32>,
-) -> Result<u32, RecomputeError> {
-    let before = sc.nodes.len();
-    let slot = add_to_cone(b, sc, n, pos_hint)?;
-    if sc.nodes.len() > before {
-        let (cs, cf) = committed_times(b, n);
-        sc.start.push(cs);
-        sc.finish.push(cf);
-        sc.queued.push(false);
-        sc.key.push(start_key(cs));
-    }
-    Ok(slot)
-}
-
-/// Monotone map from a committed start instant to a totally ordered heap key
-/// (the standard sign-flip trick, so even a negative start would order correctly).
-fn start_key(start: f64) -> u64 {
-    let b = start.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Enqueues cone slot `v` for (re-)evaluation unless it is already pending: a queued
-/// node will observe the newest predecessor values when popped, so queueing it once
-/// per update *wave* — not once per updated predecessor — preserves the "any
-/// inconsistent node is queued" invariant.  The worklist is a min-heap on committed
-/// start: every decision edge that predates this pass points from an earlier
-/// committed start to a strictly later one (durations are positive), so committed-
-/// start order is a topological order of the unperturbed decision graph and each node
-/// settles in one evaluation.  Only edges the current change *introduced* (around the
-/// migrated task and its hops — the seeds) can violate the order, and those trigger
-/// the ordinary changed-value re-enqueue, bounding the extra work by the seed count.
-fn delta_enqueue(sc: &mut RetimeScaffold, v: u32) {
-    if !sc.queued[v as usize] {
-        sc.queued[v as usize] = true;
-        sc.heap.push(std::cmp::Reverse((sc.key[v as usize], v)));
-    }
-}
-
-/// Full re-evaluation of a node's earliest start under the current decision edges:
-/// the max over *all* its predecessors' finishes, reading discovered predecessors
-/// from the delta scratch and everything else from the committed schedule.  `Err(())`
-/// means the node has an unroutable cross-processor message — the delta kernel bails
-/// and lets the classic path surface the exact error.
-fn delta_eval(
-    b: &ScheduleBuilder<'_>,
-    sc: &RetimeScaffold,
-    n: DirtyNode,
+/// Moves task `t`, at position `pos` of processor `p`'s timeline, to `[start, finish)`
+/// if that changes its window, saving the old window for rollback when `log`.  Returns
+/// whether the task moved.
+fn retime_task(
+    b: &mut ScheduleBuilder<'_>,
+    t: TaskId,
+    p: usize,
     pos: usize,
-) -> Result<f64, ()> {
-    let pred_finish = |n2: DirtyNode, committed: f64| -> f64 {
-        let sl = slot_lookup(sc.epoch, &sc.task_mark, &sc.hop_mark, n2);
-        if sl == NONE {
-            committed
-        } else {
-            sc.finish[sl as usize]
-        }
-    };
-    let mut s = 0.0f64;
-    match n {
-        DirtyNode::Task(t) => {
-            let p = b.assignment[t.index()].expect("delta nodes are placed");
-            if pos > 0 {
-                let prev = b.proc_timelines[p.index()].intervals()[pos - 1].payload;
-                let v = pred_finish(DirtyNode::Task(prev), b.task_finish[prev.index()]);
-                if v > s {
-                    s = v;
-                }
-            }
-            for &eid in b.graph.in_edges(t) {
-                let route_len = b.routes[eid.index()].len();
-                if route_len == 0 {
-                    let src = b.graph.edge(eid).src;
-                    let sp = b.assignment[src.index()].expect("delta runs on full placements");
-                    if sp != p {
-                        return Err(());
-                    }
-                    let v = pred_finish(DirtyNode::Task(src), b.task_finish[src.index()]);
-                    if v > s {
-                        s = v;
-                    }
-                } else {
-                    let k = (route_len - 1) as u32;
-                    let v = pred_finish(
-                        DirtyNode::Hop(eid, k),
-                        b.routes[eid.index()][k as usize].finish,
-                    );
-                    if v > s {
-                        s = v;
-                    }
-                }
-            }
-        }
-        DirtyNode::Hop(e, k) => {
-            let hop = b.routes[e.index()][k as usize];
-            if pos > 0 {
-                let (pe, pk) =
-                    b.link_timelines[b.link_slot(hop.link, hop.from)].intervals()[pos - 1].payload;
-                let v = pred_finish(
-                    DirtyNode::Hop(pe, pk),
-                    b.routes[pe.index()][pk as usize].finish,
-                );
-                if v > s {
-                    s = v;
-                }
-            }
-            if k == 0 {
-                let src = b.graph.edge(e).src;
-                let v = pred_finish(DirtyNode::Task(src), b.task_finish[src.index()]);
-                if v > s {
-                    s = v;
-                }
-            } else {
-                let v = pred_finish(
-                    DirtyNode::Hop(e, k - 1),
-                    b.routes[e.index()][(k - 1) as usize].finish,
-                );
-                if v > s {
-                    s = v;
-                }
-            }
-        }
+    (start, finish): (f64, f64),
+    log: bool,
+) -> bool {
+    let (old_start, old_finish) = (b.task_start[t.index()], b.task_finish[t.index()]);
+    if old_start == start && old_finish == finish {
+        return false;
     }
-    Ok(s)
+    if log {
+        b.retime_undo_tasks.push((t, old_start, old_finish));
+    }
+    b.task_start[t.index()] = start;
+    b.task_finish[t.index()] = finish;
+    b.proc_timelines[p].set_window(pos, start, finish);
+    true
 }
 
-/// Enqueues every decision-graph successor of node `u` for re-evaluation (discovering
-/// it first if needed) — the same successor enumeration the cone expansion uses.
-/// `Ok(false)` = bail (cross-processor edge without a route; classic path reports it).
-fn delta_push_successors(
-    b: &ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    u: usize,
-) -> Result<bool, RecomputeError> {
-    let node = sc.nodes[u];
-    let pos = sc.tpos[u] as usize;
-    match node {
-        DirtyNode::Task(t) => {
-            let p = b.assignment[t.index()].expect("delta nodes are placed");
-            let next = b.proc_timelines[p.index()]
-                .intervals()
-                .get(pos + 1)
-                .map(|iv| iv.payload);
-            if let Some(next) = next {
-                let v = delta_discover(b, sc, DirtyNode::Task(next), Some(pos as u32 + 1))?;
-                delta_enqueue(sc, v);
-            }
-            for &eid in b.graph.out_edges(t) {
-                if b.routes[eid.index()].is_empty() {
-                    let dst = b.graph.edge(eid).dst;
-                    let dp = b.assignment[dst.index()].expect("delta runs on full placements");
-                    if dp != p {
-                        return Ok(false);
-                    }
-                    let v = delta_discover(b, sc, DirtyNode::Task(dst), None)?;
-                    delta_enqueue(sc, v);
-                } else {
-                    let v = delta_discover(b, sc, DirtyNode::Hop(eid, 0), None)?;
-                    delta_enqueue(sc, v);
-                }
-            }
-        }
-        DirtyNode::Hop(e, k) => {
-            let hop = b.routes[e.index()][k as usize];
-            let next = b.link_timelines[b.link_slot(hop.link, hop.from)]
-                .intervals()
-                .get(pos + 1)
-                .map(|iv| iv.payload);
-            if let Some((ne, nk)) = next {
-                let v = delta_discover(b, sc, DirtyNode::Hop(ne, nk), Some(pos as u32 + 1))?;
-                delta_enqueue(sc, v);
-            }
-            let v = if (k as usize) + 1 < b.routes[e.index()].len() {
-                delta_discover(b, sc, DirtyNode::Hop(e, k + 1), None)?
-            } else {
-                delta_discover(b, sc, DirtyNode::Task(b.graph.edge(e).dst), None)?
-            };
-            delta_enqueue(sc, v);
-        }
-    }
-    Ok(true)
-}
-
-/// The delta kernel: incremental longest-path maintenance by value-driven propagation.
-///
-/// Instead of materializing the successor closure of the seeds (whose size is what
-/// erodes the incremental advantage at scale — the closure of an early-schedule
-/// migration covers nearly everything downstream regardless of whether any time
-/// actually moves), this kernel re-evaluates *values*: each worklist node recomputes
-/// its earliest start from its current predecessors, and only a node whose window
-/// actually **changed** pushes its successors.  Wherever committed slack absorbs the
-/// perturbation, propagation dies immediately — a migration's true cost becomes
-/// O(|affected|), not O(|closure|).
-///
-/// Correctness relies on the same compaction invariant as the cone kernel: committed
-/// windows outside the discovered set are the previous fixpoint, and every node whose
-/// predecessor *set* changed is a seed.  On a DAG the fixpoint is unique and the
-/// worklist maintains "any locally inconsistent node is queued", so an empty worklist
-/// *is* the fixpoint; `f64` max over identical operand sets is order-independent, so
-/// the result is bit-identical to [`crate::recompute`].  The kernel **never touches
-/// the builder until convergence** (scratch windows only), so a bail — budget
-/// exhausted, a zero-duration node (which could let a freshly created decision cycle
-/// stabilize silently instead of erroring), or a missing route — simply falls through
-/// to the classic routing with the builder untouched and every error surface intact;
-/// positive-duration cycles diverge and exit through the budget.
-///
-/// Returns `Ok(None)` to bail; `evals` reports the evaluations spent either way.
-fn try_delta(
+/// Hop counterpart of [`retime_task`]: hop `k` of edge `e`, at position `pos` of link
+/// slot `slot`'s timeline.
+fn retime_hop(
     b: &mut ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    budget: usize,
-    evals: &mut usize,
-) -> Result<Option<RetimeStats>, RecomputeError> {
-    let seed_nodes = sc.nodes.len();
-    for i in 0..seed_nodes {
-        let (cs, cf) = committed_times(b, sc.nodes[i]);
-        sc.start.push(cs);
-        sc.finish.push(cf);
-        sc.queued.push(true);
-        sc.key.push(start_key(cs));
-        sc.heap.push(std::cmp::Reverse((sc.key[i], i as u32)));
+    (e, k): (EdgeId, u32),
+    slot: usize,
+    pos: usize,
+    (start, finish): (f64, f64),
+    log: bool,
+) -> bool {
+    let hop = &mut b.routes[e.index()][k as usize];
+    if hop.start == start && hop.finish == finish {
+        return false;
     }
-    while let Some(std::cmp::Reverse((_, u))) = sc.heap.pop() {
-        *evals += 1;
-        if *evals > budget {
-            return Ok(None);
-        }
-        let u = u as usize;
-        sc.queued[u] = false;
-        let n = sc.nodes[u];
-        let dur = duration_of(b, n);
-        if dur == 0.0 {
-            return Ok(None);
-        }
-        let s = match delta_eval(b, sc, n, sc.tpos[u] as usize) {
-            Ok(s) => s,
-            Err(()) => return Ok(None),
-        };
-        let f = s + dur;
-        if s == sc.start[u] && f == sc.finish[u] {
-            continue;
-        }
-        sc.start[u] = s;
-        sc.finish[u] = f;
-        if !delta_push_successors(b, sc, u)? {
-            return Ok(None);
-        }
+    if log {
+        b.retime_undo_hops.push((e, k, hop.start, hop.finish));
     }
-    let changed = write_back(b, &sc.nodes, &sc.tpos, &sc.start, &sc.finish);
-    Ok(Some(RetimeStats {
-        seed_nodes,
-        cone_nodes: sc.nodes.len(),
-        cone_edges: 0,
-        changed_nodes: changed,
-        fell_back: false,
-        kind: RetimeKind::Delta,
-        delta_evals: *evals,
-    }))
+    hop.start = start;
+    hop.finish = finish;
+    b.link_timelines[slot].set_window(pos, start, finish);
+    true
 }
 
-/// In-place write-back of changed node windows, shared by the cone and delta kernels.
-/// Re-timing preserves every timeline's interval order, so each changed window is
-/// overwritten in place at its known position — no remove/insert shifting.  Old times
-/// of moved nodes go onto the builder's persistent undo stacks; the logged
-/// [`UndoOp::Retime`] only records the watermarks (see [`crate::txn`]).  Clears the
-/// dirty list (the pass consumed it).
-fn write_back(
-    b: &mut ScheduleBuilder<'_>,
-    nodes: &[DirtyNode],
-    tpos: &[u32],
-    start: &[f64],
-    finish: &[f64],
-) -> usize {
-    let log = b.in_txn();
-    let tasks_from = b.retime_undo_tasks.len();
-    let hops_from = b.retime_undo_hops.len();
-    let mut changed = 0usize;
-    for i in 0..nodes.len() {
-        let pos = tpos[i] as usize;
-        match nodes[i] {
-            DirtyNode::Task(t) => {
-                if b.task_start[t.index()] != start[i] || b.task_finish[t.index()] != finish[i] {
-                    if log {
-                        b.retime_undo_tasks.push((
-                            t,
-                            b.task_start[t.index()],
-                            b.task_finish[t.index()],
-                        ));
-                    }
-                    changed += 1;
-                    let p = b.assignment[t.index()].expect("cone tasks are placed");
-                    b.task_start[t.index()] = start[i];
-                    b.task_finish[t.index()] = finish[i];
-                    b.proc_timelines[p.index()].set_window(pos, start[i], finish[i]);
-                }
-            }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                if hop.start != start[i] || hop.finish != finish[i] {
-                    if log {
-                        b.retime_undo_hops.push((e, k, hop.start, hop.finish));
-                    }
-                    changed += 1;
-                    let slot = b.link_slot(hop.link, hop.from);
-                    let hop = &mut b.routes[e.index()][k as usize];
-                    hop.start = start[i];
-                    hop.finish = finish[i];
-                    b.link_timelines[slot].set_window(pos, start[i], finish[i]);
-                }
-            }
-        }
-    }
+/// Ends a write-back: logs the undo watermarks the pass started from (inside a
+/// transaction) and clears the dirty list the pass consumed.  See [`UndoOp::Retime`].
+fn close_write_back(b: &mut ScheduleBuilder<'_>, log: bool, tasks_from: usize, hops_from: usize) {
     #[cfg(debug_assertions)]
     {
         for tl in &b.proc_timelines {
@@ -563,415 +289,161 @@ fn write_back(
         });
     }
     b.clear_dirty();
-    changed
 }
 
-/// Enumerates every decision-graph dependency edge `(u, v)` in flat numbering (tasks
-/// first, then hops via `hop_base` prefix sums): processor order, link order, and
-/// message chains.  Called twice per flat pass (CSR count + CSR fill), so the adjacency
-/// never needs an intermediate edge list.
-fn for_each_dep(
-    b: &ScheduleBuilder<'_>,
-    hop_base: &[u32],
-    mut f: impl FnMut(u32, u32),
-) -> Result<(), RecomputeError> {
-    let n_tasks = b.graph.num_tasks() as u32;
-    let hop_node = |e: usize, k: usize| n_tasks + hop_base[e] + k as u32;
-    for tl in &b.proc_timelines {
-        for w in tl.intervals().windows(2) {
-            f(w[0].payload.index() as u32, w[1].payload.index() as u32);
-        }
-    }
-    for tl in &b.link_timelines {
-        for w in tl.intervals().windows(2) {
-            let (e0, k0) = w[0].payload;
-            let (e1, k1) = w[1].payload;
-            f(
-                hop_node(e0.index(), k0 as usize),
-                hop_node(e1.index(), k1 as usize),
-            );
-        }
-    }
-    for e in b.graph.edge_ids() {
-        let edge = b.graph.edge(e);
-        let route = &b.routes[e.index()];
-        if route.is_empty() {
-            let src_p = b.assignment[edge.src.index()].expect("flat pass: all tasks placed");
-            let dst_p = b.assignment[edge.dst.index()].expect("flat pass: all tasks placed");
-            if src_p != dst_p {
-                return Err(RecomputeError::MissingRoute(e));
-            }
-            f(edge.src.index() as u32, edge.dst.index() as u32);
-        } else {
-            f(edge.src.index() as u32, hop_node(e.index(), 0));
-            for k in 1..route.len() {
-                f(hop_node(e.index(), k - 1), hop_node(e.index(), k));
-            }
-            f(
-                hop_node(e.index(), route.len() - 1),
-                edge.dst.index() as u32,
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Full-schedule Kahn relaxation on the scaffold's arenas — the big-cone sibling of the
-/// cone-local pass.  Computes exactly the [`crate::recompute`] fixpoint, but with the
-/// kernel's cost profile: CSR adjacency in reused arenas (two counting/filling sweeps,
-/// no per-node `Vec`s), durations and hop numbering in arenas, in-place window
-/// write-back (re-timing preserves interval order, so no timeline is ever rebuilt),
-/// and watermark undo records.  Zero steady-state heap allocations, like the cone path.
+/// The flat sweep over the reduced decision graph (see the module documentation).
 ///
-/// Returns `(num_nodes, dep_edges, changed)` for the caller's [`RetimeStats`].
+/// Node numbering: tasks first, then the hops edge by edge in route order, offset by
+/// prefix sums of the scaffold's `hop_len` mirror.  Requires every task placed.
 fn flat_relax(
     b: &mut ScheduleBuilder<'_>,
     sc: &mut RetimeScaffold,
-) -> Result<(usize, usize, usize), RecomputeError> {
+    extra_seeds: &[TaskId],
+) -> Result<RetimeStats, RecomputeError> {
     let graph = b.graph;
+    let system = b.system;
     let n_tasks = graph.num_tasks();
-    for t in graph.task_ids() {
-        if b.assignment[t.index()].is_none() {
-            return Err(RecomputeError::UnplacedTask(t));
-        }
-    }
-    let n_edges = graph.num_edges();
-    sc.hop_base.resize(n_edges + 1, 0);
-    let mut acc = 0u32;
-    for e in 0..n_edges {
-        sc.hop_base[e] = acc;
-        acc += b.routes[e].len() as u32;
-    }
-    sc.hop_base[n_edges] = acc;
-    debug_assert_eq!(acc as usize, sc.total_hops);
     let num_nodes = n_tasks + sc.total_hops;
+    let mut next_id = n_tasks as u32;
+    sc.hop_base.extend(sc.hop_len.iter().map(|&len| {
+        let base = next_id;
+        next_id += len;
+        base
+    }));
+    debug_assert_eq!(next_id as usize, num_nodes);
 
-    // Durations.
+    // One walk over the timelines: durations, task positions, and the edge list.
     sc.dur.resize(num_nodes, 0.0);
-    for t in graph.task_ids() {
-        let p = b.assignment[t.index()].expect("checked above");
-        sc.dur[t.index()] = b.system.exec_cost(t, p);
-    }
-    for e in graph.edge_ids() {
-        let nominal = graph.edge(e).nominal_cost;
-        let base = n_tasks + sc.hop_base[e.index()] as usize;
-        for (k, hop) in b.routes[e.index()].iter().enumerate() {
-            sc.dur[base + k] = b.system.transfer_time(hop.link, nominal);
-        }
-    }
-
-    // CSR adjacency: count, prefix, fill.
-    sc.indeg.resize(num_nodes, 0);
-    sc.offsets.resize(num_nodes + 1, 0);
-    {
-        let hop_base = &sc.hop_base;
-        let indeg = &mut sc.indeg;
-        let offsets = &mut sc.offsets;
-        for_each_dep(b, hop_base, |u, v| {
-            offsets[u as usize + 1] += 1;
-            indeg[v as usize] += 1;
-        })?;
-    }
-    for i in 0..num_nodes {
-        sc.offsets[i + 1] += sc.offsets[i];
-    }
-    sc.csr.resize(sc.offsets[num_nodes] as usize, 0);
-    sc.fill.extend_from_slice(&sc.offsets);
-    {
-        let hop_base = &sc.hop_base;
-        let fill = &mut sc.fill;
-        let csr = &mut sc.csr;
-        for_each_dep(b, hop_base, |u, v| {
-            let c = &mut fill[u as usize];
-            csr[*c as usize] = v;
-            *c += 1;
-        })?;
-    }
-
-    // Level-batched Kahn relaxation from scratch (initial starts all zero).  The
-    // whole state is struct-of-arrays over the CSR mirrors (start/finish/dur/indeg
-    // indexed by flat node id); instead of a FIFO the sweep processes one *level* of
-    // ready nodes per batch from a pair of swapped frontier arenas — tight sequential
-    // loops over the arrays, no queue churn.  Relaxation order is irrelevant to the
-    // result (max-merges commute) and the processed count is the same, so cycle
-    // detection and the computed fixpoint are identical to the queue formulation.
-    sc.start.resize(num_nodes, 0.0);
-    sc.finish.resize(num_nodes, 0.0);
-    {
-        let RetimeScaffold {
-            ref mut frontier,
-            ref mut frontier_next,
-            ref mut start,
-            ref mut finish,
-            ref mut indeg,
-            ref offsets,
-            ref csr,
-            ref dur,
-            ..
-        } = *sc;
-        frontier.extend((0..num_nodes as u32).filter(|&i| indeg[i as usize] == 0));
-        let mut processed = 0usize;
-        while !frontier.is_empty() {
-            for &u in frontier.iter() {
-                let u = u as usize;
-                let f = start[u] + dur[u];
-                finish[u] = f;
-                processed += 1;
-                for &v in &csr[offsets[u] as usize..offsets[u + 1] as usize] {
-                    let v = v as usize;
-                    if f > start[v] {
-                        start[v] = f;
-                    }
-                    indeg[v] -= 1;
-                    if indeg[v] == 0 {
-                        frontier_next.push(v as u32);
-                    }
-                }
+    sc.tpos.resize(n_tasks, 0);
+    for (p, tl) in b.proc_timelines.iter().enumerate() {
+        let proc = ProcId(p as u32);
+        let mut prev = None;
+        for (pos, iv) in tl.intervals().iter().enumerate() {
+            let t = iv.payload;
+            sc.dur[t.index()] = system.exec_cost(t, proc);
+            sc.tpos[t.index()] = pos as u32;
+            if let Some(u) = prev {
+                sc.dep_edges.push((u, t.0));
             }
-            std::mem::swap(frontier, frontier_next);
-            frontier_next.clear();
+            prev = Some(t.0);
         }
-        if processed != num_nodes {
-            return Err(RecomputeError::CyclicDecisions);
+    }
+    let full_duplex = matches!(system.topology.link_mode(), LinkMode::FullDuplex);
+    for (slot, tl) in b.link_timelines.iter().enumerate() {
+        let link = LinkId(if full_duplex { slot / 2 } else { slot } as u32);
+        let mut prev = None;
+        for iv in tl.intervals() {
+            let (e, k) = iv.payload;
+            let edge = graph.edge(e);
+            let id = sc.hop_base[e.index()] + k;
+            sc.dur[id as usize] = system.transfer_time(link, edge.nominal_cost);
+            if let Some(u) = prev {
+                sc.dep_edges.push((u, id));
+            }
+            prev = Some(id);
+            sc.dep_edges
+                .push((if k == 0 { edge.src.0 } else { id - 1 }, id));
+            if k + 1 == sc.hop_len[e.index()] {
+                sc.dep_edges.push((id, edge.dst.0));
+            }
         }
+    }
+
+    let is_dirty = |t: TaskId| b.task_dirty_stamp[t.index()] == b.dirty_gen;
+    #[cfg(debug_assertions)]
+    for e in graph.edge_ids() {
+        let edge = graph.edge(e);
+        if sc.hop_len[e.index()] == 0 && !is_dirty(edge.src) && !is_dirty(edge.dst) {
+            assert!(
+                b.assignment[edge.src.index()] == b.assignment[edge.dst.index()]
+                    && sc.tpos[edge.src.index()] < sc.tpos[edge.dst.index()],
+                "route-less message {e} outside the dirty set must follow its producer on \
+                 one processor"
+            );
+        }
+    }
+
+    // Only dirty tasks' route-less messages can be remote or turned around.
+    let mut seed_nodes = 0usize;
+    let mut missing: Option<EdgeId> = None;
+    for &n in &b.dirty {
+        let DirtyNode::Task(t) = n else {
+            seed_nodes += usize::from(node_exists(sc, n));
+            continue;
+        };
+        seed_nodes += 1;
+        for &e in graph.in_edges(t).iter().chain(graph.out_edges(t)) {
+            if sc.hop_len[e.index()] != 0 {
+                continue;
+            }
+            let edge = graph.edge(e);
+            if b.assignment[edge.src.index()] != b.assignment[edge.dst.index()] {
+                missing = Some(missing.map_or(e, |m| m.min(e)));
+            } else if sc.tpos[edge.src.index()] > sc.tpos[edge.dst.index()] {
+                sc.dep_edges.push((edge.src.0, edge.dst.0));
+            }
+        }
+    }
+    seed_nodes += extra_seeds.iter().filter(|&&t| !is_dirty(t)).count();
+    if let Some(e) = missing {
+        return Err(RecomputeError::MissingRoute(e));
+    }
+
+    sc.start.resize(num_nodes, 0.0);
+    if !relax(sc, num_nodes) {
+        return Err(RecomputeError::CyclicDecisions);
     }
 
     // In-place write-back, walking each timeline so positions are implicit.
     let log = b.in_txn();
-    let tasks_from = b.retime_undo_tasks.len();
-    let hops_from = b.retime_undo_hops.len();
+    let (tasks_from, hops_from) = (b.retime_undo_tasks.len(), b.retime_undo_hops.len());
     let mut changed = 0usize;
-    {
-        let ScheduleBuilder {
-            ref mut task_start,
-            ref mut task_finish,
-            ref mut proc_timelines,
-            ref mut link_timelines,
-            ref mut routes,
-            ref mut retime_undo_tasks,
-            ref mut retime_undo_hops,
-            ..
-        } = *b;
-        let start = &sc.start;
-        let finish = &sc.finish;
-        for tl in proc_timelines.iter_mut() {
-            for pos in 0..tl.len() {
-                let t = tl.intervals()[pos].payload;
-                let (ns, nf) = (start[t.index()], finish[t.index()]);
-                if task_start[t.index()] != ns || task_finish[t.index()] != nf {
-                    if log {
-                        retime_undo_tasks.push((t, task_start[t.index()], task_finish[t.index()]));
-                    }
-                    changed += 1;
-                    task_start[t.index()] = ns;
-                    task_finish[t.index()] = nf;
-                    tl.set_window(pos, ns, nf);
-                }
-            }
-        }
-        for tl in link_timelines.iter_mut() {
-            for pos in 0..tl.len() {
-                let (e, k) = tl.intervals()[pos].payload;
-                let id = n_tasks + sc.hop_base[e.index()] as usize + k as usize;
-                let (ns, nf) = (start[id], finish[id]);
-                let hop = &mut routes[e.index()][k as usize];
-                if hop.start != ns || hop.finish != nf {
-                    if log {
-                        retime_undo_hops.push((e, k, hop.start, hop.finish));
-                    }
-                    changed += 1;
-                    hop.start = ns;
-                    hop.finish = nf;
-                    tl.set_window(pos, ns, nf);
-                }
-            }
+    for p in 0..b.proc_timelines.len() {
+        for pos in 0..b.proc_timelines[p].len() {
+            let t = b.proc_timelines[p].intervals()[pos].payload;
+            let window = (sc.start[t.index()], sc.finish[t.index()]);
+            changed += usize::from(retime_task(b, t, p, pos, window, log));
         }
     }
-    #[cfg(debug_assertions)]
-    {
-        for tl in &b.proc_timelines {
-            debug_assert!(
-                tl.is_consistent(),
-                "processor timeline after flat write-back"
-            );
-        }
-        for tl in &b.link_timelines {
-            debug_assert!(tl.is_consistent(), "link timeline after flat write-back");
+    for slot in 0..b.link_timelines.len() {
+        for pos in 0..b.link_timelines[slot].len() {
+            let (e, k) = b.link_timelines[slot].intervals()[pos].payload;
+            let id = (sc.hop_base[e.index()] + k) as usize;
+            let window = (sc.start[id], sc.finish[id]);
+            changed += usize::from(retime_hop(b, (e, k), slot, pos, window, log));
         }
     }
-    if log {
-        b.log_undo(UndoOp::Retime {
-            tasks_from,
-            hops_from,
-        });
-    }
-    b.clear_dirty();
-    Ok((num_nodes, sc.csr.len(), changed))
-}
-
-/// Wraps [`flat_relax`] into the pass result (`fell_back` marks the flat route;
-/// `kind` records which routing rule chose it).
-fn flat_pass(
-    b: &mut ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    seed_nodes: usize,
-    kind: RetimeKind,
-    delta_evals: usize,
-) -> Result<RetimeStats, RecomputeError> {
-    let (num_nodes, dep_edges, changed) = flat_relax(b, sc)?;
+    close_write_back(b, log, tasks_from, hops_from);
     Ok(RetimeStats {
         seed_nodes,
         cone_nodes: num_nodes,
-        cone_edges: dep_edges,
+        cone_edges: sc.dep_edges.len(),
         changed_nodes: changed,
-        fell_back: true,
-        kind,
-        delta_evals,
+        kind: RetimeKind::Flat,
     })
 }
 
-/// See the module documentation.  Called through
-/// [`ScheduleBuilder::recompute_times_from`].
-pub(crate) fn recompute_from(
-    b: &mut ScheduleBuilder<'_>,
-    extra_seeds: &[TaskId],
-) -> Result<RetimeStats, RecomputeError> {
-    if b.dirty.is_empty() && extra_seeds.is_empty() {
-        return Ok(RetimeStats::default());
-    }
-    // The scaffold is moved out for the duration of the pass so the pass can hold it
-    // mutably alongside shared borrows of the builder.  No mutation primitive runs
-    // while it is out (re-timing only overwrites windows in place), so the persistent
-    // mirrors cannot go stale.  Restored on every path, including errors.
-    let mut sc = std::mem::take(&mut b.scaffold);
-    let result = run_pass(b, &mut sc, extra_seeds);
-    sc.end_pass();
-    b.scaffold = sc;
-    result
-}
-
-fn run_pass(
+/// The cone kernel (see the module documentation).
+fn cone_relax(
     b: &mut ScheduleBuilder<'_>,
     sc: &mut RetimeScaffold,
     extra_seeds: &[TaskId],
 ) -> Result<RetimeStats, RecomputeError> {
-    sc.begin_pass();
-    debug_assert_eq!(
-        sc.total_hops,
-        b.routes.iter().map(Vec::len).sum::<usize>(),
-        "scaffold total_hops mirror out of sync with the routes"
-    );
-
-    // ---- seeds (tracking the earliest seed instant for the horizon estimate) ------
-    let mut t_min = f64::INFINITY;
+    // ---- seeds ----------------------------------------------------------------------
     for i in 0..b.dirty.len() {
         let s = b.dirty[i];
-        if node_exists(b, s) {
+        if node_exists(sc, s) {
             add_to_cone(b, sc, s, None)?;
-            t_min = t_min.min(start_of_node(b, s));
         }
     }
     for &t in extra_seeds {
         add_to_cone(b, sc, DirtyNode::Task(t), None)?;
-        t_min = t_min.min(b.task_start[t.index()]);
     }
     let seed_nodes = sc.nodes.len();
 
-    // ---- flat-relaxation routing (see FALLBACK_NUM / DELTA_EVAL_NUM) ---------------
-    let total_nodes = b.graph.num_tasks() + sc.total_hops;
-    let big = total_nodes >= FALLBACK_FLOOR;
-    if big && seed_nodes > total_nodes * FALLBACK_NUM / FALLBACK_DEN {
-        // Almost everything is dirty before any kernel starts: a bulk-mutation batch.
-        // Neither delta propagation nor a cone can beat the flat sweep here.
-        return flat_pass(b, sc, seed_nodes, RetimeKind::FlatSeeds, 0);
-    }
-
-    // ---- seed-horizon estimate: shared input of both routing models ----------------
-    // Count the nodes scheduled at or after the earliest seed — an O((P+L) log n)
-    // upper-bound proxy for the work downstream of the seeds, computed once before any
-    // kernel runs.  The delta model scales it by the observed affected-per-estimate
-    // ratio ĝΔ, the cone model by the cone-per-estimate ratio ĝ.
-    let observed_est = if big && b.all_placed() {
-        let mut est = 0usize;
-        for tl in &b.proc_timelines {
-            est += tl.len() - tl.intervals().partition_point(|iv| iv.start < t_min);
-        }
-        for tl in &b.link_timelines {
-            est += tl.len() - tl.intervals().partition_point(|iv| iv.start < t_min);
-        }
-        Some(est)
-    } else {
-        None
-    };
-
-    // ---- delta kernel: value-driven propagation (see `try_delta`) ------------------
-    // Tried before any closure-based routing — but only when the measured model
-    // predicts a small affected set (see `RetimeScaffold::delta_by_model`): one delta
-    // evaluation costs ≈4× one level-batched flat-relaxation step, so past
-    // ~sixth-of-the-graph cascades the flat sweep wins even though delta would
-    // converge.
-    // The eval budget bounds the downside of a wrong prediction.  Every pass feeds the
-    // model exactly once — an attempted delta with its final affected set (or the
-    // partial set at the bail point), a skipped delta with the `changed_nodes` count
-    // of whatever kernel ran instead (the true affected size, so a wrong skip is
-    // observed and self-corrects rather than locking in; see the closing feed below).
-    let mut delta_evals = 0usize;
-    let mut delta_fed = false;
-    if let Some(est) = observed_est {
-        if !sc.delta_by_model(est, total_nodes) {
-            delta_fed = true;
-            let budget = total_nodes * DELTA_EVAL_NUM / DELTA_EVAL_DEN;
-            if let Some(stats) = try_delta(b, sc, budget, &mut delta_evals)? {
-                sc.note_delta_observation(stats.cone_nodes, est);
-                return Ok(stats);
-            }
-            // Bailed: record the partially discovered affected set, then reset the
-            // scaffold and rebuild the seed state for the classic paths.
-            sc.note_delta_observation(sc.nodes.len(), est);
-            sc.begin_pass();
-            for i in 0..b.dirty.len() {
-                let s = b.dirty[i];
-                if node_exists(b, s) {
-                    add_to_cone(b, sc, s, None)?;
-                }
-            }
-            for &t in extra_seeds {
-                add_to_cone(b, sc, DirtyNode::Task(t), None)?;
-            }
-        }
-    }
-
-    // ---- measured cone-vs-flat crossover on the seed-horizon estimate --------------
-    if let Some(est) = observed_est {
-        if sc.flat_by_model(est, total_nodes) {
-            let stats = flat_pass(b, sc, seed_nodes, RetimeKind::FlatModel, delta_evals)?;
-            if !delta_fed {
-                sc.note_delta_observation(stats.changed_nodes, est);
-            }
-            return Ok(stats);
-        }
-    }
-    // Backstop for cones that outgrow their estimate: abandon discovery and go flat.
-    // Only available when every task is placed (the flat pass needs the whole graph);
-    // partial schedules always finish the cone, as before.
-    let cone_cap = if big && b.all_placed() {
-        total_nodes * FALLBACK_NUM / FALLBACK_DEN
-    } else {
-        usize::MAX
-    };
-
-    // ---- cone: successor closure of the seeds ------------------------------------
+    // ---- cone: successor closure of the seeds -------------------------------------
     let mut cursor = 0usize;
     while cursor < sc.nodes.len() {
-        if sc.nodes.len() > cone_cap {
-            let stats = flat_pass(b, sc, seed_nodes, RetimeKind::FlatCap, delta_evals)?;
-            if !delta_fed {
-                if let Some(est) = observed_est {
-                    sc.note_delta_observation(stats.changed_nodes, est);
-                }
-            }
-            return Ok(stats);
-        }
         let u = cursor as u32;
         let node = sc.nodes[cursor];
         let pos = sc.tpos[cursor] as usize;
@@ -1023,145 +495,138 @@ fn run_pass(
         cursor += 1;
     }
 
-    // From here on the cone tables (`nodes`, `tpos`, `dep_edges`, slot maps) are
-    // read-only; split-borrow them around the mutable relaxation arenas.
-    let RetimeScaffold {
-        ref nodes,
-        ref tpos,
-        ref dep_edges,
-        epoch,
-        ref task_mark,
-        ref hop_mark,
-        ref mut start,
-        ref mut finish,
-        ref mut indeg,
-        ref mut offsets,
-        ref mut fill,
-        ref mut csr,
-        ref mut queue,
-        ..
-    } = *sc;
-    let slot = |n: DirtyNode| slot_lookup(epoch, task_mark, hop_mark, n);
-    let m = nodes.len();
-
-    // ---- initial starts: fold in the (fixed) finishes of out-of-cone predecessors --
-    for i in 0..m {
-        let pos = tpos[i] as usize;
-        let mut s = 0.0f64;
-        match nodes[i] {
-            DirtyNode::Task(t) => {
-                let p = b.assignment[t.index()].expect("cone tasks are placed");
-                if pos > 0 {
-                    let prev = b.proc_timelines[p.index()].intervals()[pos - 1].payload;
-                    if slot(DirtyNode::Task(prev)) == NONE {
-                        s = s.max(b.task_finish[prev.index()]);
+    // ---- durations and initial starts: fold in out-of-cone predecessors' finishes --
+    let m = sc.nodes.len();
+    {
+        let RetimeScaffold {
+            ref nodes,
+            ref tpos,
+            epoch,
+            ref task_mark,
+            ref hop_mark,
+            ref mut start,
+            ref mut dur,
+            ..
+        } = *sc;
+        let slot = |n: DirtyNode| slot_lookup(epoch, task_mark, hop_mark, n);
+        for i in 0..m {
+            let pos = tpos[i] as usize;
+            let mut s = 0.0f64;
+            match nodes[i] {
+                DirtyNode::Task(t) => {
+                    let p = b.assignment[t.index()].expect("cone tasks are placed");
+                    if pos > 0 {
+                        let prev = b.proc_timelines[p.index()].intervals()[pos - 1].payload;
+                        if slot(DirtyNode::Task(prev)) == NONE {
+                            s = s.max(b.task_finish[prev.index()]);
+                        }
+                    }
+                    for &eid in b.graph.in_edges(t) {
+                        let route_len = b.routes[eid.index()].len();
+                        if route_len == 0 {
+                            let src = b.graph.edge(eid).src;
+                            let sp = b.assignment[src.index()]
+                                .ok_or(RecomputeError::UnplacedTask(src))?;
+                            if sp != p {
+                                return Err(RecomputeError::MissingRoute(eid));
+                            }
+                            if slot(DirtyNode::Task(src)) == NONE {
+                                s = s.max(b.task_finish[src.index()]);
+                            }
+                        } else {
+                            let k = (route_len - 1) as u32;
+                            if slot(DirtyNode::Hop(eid, k)) == NONE {
+                                s = s.max(b.routes[eid.index()][k as usize].finish);
+                            }
+                        }
                     }
                 }
-                for &eid in b.graph.in_edges(t) {
-                    let route_len = b.routes[eid.index()].len();
-                    if route_len == 0 {
-                        let src = b.graph.edge(eid).src;
-                        let sp =
-                            b.assignment[src.index()].ok_or(RecomputeError::UnplacedTask(src))?;
-                        if sp != p {
-                            return Err(RecomputeError::MissingRoute(eid));
+                DirtyNode::Hop(e, k) => {
+                    let hop = b.routes[e.index()][k as usize];
+                    if pos > 0 {
+                        let (pe, pk) = b.link_timelines[b.link_slot(hop.link, hop.from)]
+                            .intervals()[pos - 1]
+                            .payload;
+                        if slot(DirtyNode::Hop(pe, pk)) == NONE {
+                            s = s.max(b.routes[pe.index()][pk as usize].finish);
                         }
+                    }
+                    if k == 0 {
+                        let src = b.graph.edge(e).src;
                         if slot(DirtyNode::Task(src)) == NONE {
                             s = s.max(b.task_finish[src.index()]);
                         }
-                    } else {
-                        let k = (route_len - 1) as u32;
-                        if slot(DirtyNode::Hop(eid, k)) == NONE {
-                            s = s.max(b.routes[eid.index()][k as usize].finish);
-                        }
+                    } else if slot(DirtyNode::Hop(e, k - 1)) == NONE {
+                        s = s.max(b.routes[e.index()][(k - 1) as usize].finish);
                     }
                 }
             }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                if pos > 0 {
-                    let (pe, pk) = b.link_timelines[b.link_slot(hop.link, hop.from)].intervals()
-                        [pos - 1]
-                        .payload;
-                    if slot(DirtyNode::Hop(pe, pk)) == NONE {
-                        s = s.max(b.routes[pe.index()][pk as usize].finish);
-                    }
-                }
-                if k == 0 {
-                    let src = b.graph.edge(e).src;
-                    if slot(DirtyNode::Task(src)) == NONE {
-                        s = s.max(b.task_finish[src.index()]);
-                    }
-                } else if slot(DirtyNode::Hop(e, k - 1)) == NONE {
-                    s = s.max(b.routes[e.index()][(k - 1) as usize].finish);
-                }
-            }
+            start.push(s);
+            dur.push(duration_of(b, nodes[i]));
         }
-        start.push(s);
     }
 
-    // ---- Kahn relaxation restricted to the cone (CSR adjacency in the arenas) ------
-    indeg.resize(m, 0);
-    offsets.resize(m + 1, 0);
-    for &(u, v) in dep_edges {
-        indeg[v as usize] += 1;
-        offsets[u as usize + 1] += 1;
-    }
-    for i in 0..m {
-        offsets[i + 1] += offsets[i];
-    }
-    csr.resize(dep_edges.len(), 0);
-    fill.extend_from_slice(offsets);
-    for &(u, v) in dep_edges {
-        let f = &mut fill[u as usize];
-        csr[*f as usize] = v;
-        *f += 1;
-    }
-    queue.extend((0..m as u32).filter(|&i| indeg[i as usize] == 0));
-    finish.resize(m, 0.0);
-    let mut processed = 0usize;
-    while let Some(u) = queue.pop_front() {
-        let u = u as usize;
-        let f = start[u] + duration_of(b, nodes[u]);
-        finish[u] = f;
-        processed += 1;
-        for &v in &csr[offsets[u] as usize..offsets[u + 1] as usize] {
-            let v = v as usize;
-            if f > start[v] {
-                start[v] = f;
-            }
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push_back(v as u32);
-            }
-        }
-    }
-    if processed != m {
+    if !relax(sc, m) {
         return Err(RecomputeError::CyclicDecisions);
     }
 
-    // ---- in-place write-back of changed nodes only (shared with the delta kernel) --
-    let cone_edges = dep_edges.len();
-    let changed = write_back(b, nodes, tpos, start, finish);
-    // Feed the crossover model: this completed cone pass is one (cone, estimate)
-    // observation of how much of the seed horizon a real cone covers.  When the delta
-    // model skipped the delta attempt, the write-back's changed count is this pass's
-    // true affected size — feed it so the skip decision gets audited too.
-    if let Some(est) = observed_est {
-        sc.note_cone_observation(m, est);
-        if !delta_fed {
-            sc.note_delta_observation(changed, est);
-        }
+    // ---- in-place write-back of changed nodes only -----------------------------------
+    let log = b.in_txn();
+    let (tasks_from, hops_from) = (b.retime_undo_tasks.len(), b.retime_undo_hops.len());
+    let mut changed = 0usize;
+    for i in 0..m {
+        let pos = sc.tpos[i] as usize;
+        let window = (sc.start[i], sc.finish[i]);
+        changed += usize::from(match sc.nodes[i] {
+            DirtyNode::Task(t) => {
+                let p = b.assignment[t.index()].expect("cone tasks are placed");
+                retime_task(b, t, p.index(), pos, window, log)
+            }
+            DirtyNode::Hop(e, k) => {
+                let hop = b.routes[e.index()][k as usize];
+                let slot = b.link_slot(hop.link, hop.from);
+                retime_hop(b, (e, k), slot, pos, window, log)
+            }
+        });
     }
+    close_write_back(b, log, tasks_from, hops_from);
     Ok(RetimeStats {
         seed_nodes,
         cone_nodes: m,
-        cone_edges,
+        cone_edges: sc.dep_edges.len(),
         changed_nodes: changed,
-        fell_back: false,
         kind: RetimeKind::Cone,
-        delta_evals,
     })
+}
+
+/// See the module documentation.  Called through
+/// [`ScheduleBuilder::recompute_times_from`].
+pub(crate) fn recompute_from(
+    b: &mut ScheduleBuilder<'_>,
+    extra_seeds: &[TaskId],
+) -> Result<RetimeStats, RecomputeError> {
+    if b.dirty.is_empty() && extra_seeds.is_empty() {
+        return Ok(RetimeStats::default());
+    }
+    // The scaffold is moved out for the duration of the pass so the pass can hold it
+    // mutably alongside shared borrows of the builder.  No mutation primitive runs
+    // while it is out (re-timing only overwrites windows in place), so the persistent
+    // mirrors cannot go stale.  Restored on every path, including errors.
+    let mut sc = std::mem::take(&mut b.scaffold);
+    debug_assert_eq!(
+        sc.total_hops,
+        b.routes.iter().map(Vec::len).sum::<usize>(),
+        "scaffold total_hops mirror out of sync with the routes"
+    );
+    sc.begin_pass();
+    let result = if b.all_placed() && b.graph.num_tasks() + sc.total_hops >= FALLBACK_FLOOR {
+        flat_relax(b, &mut sc, extra_seeds)
+    } else {
+        cone_relax(b, &mut sc, extra_seeds)
+    };
+    sc.end_pass();
+    b.scaffold = sc;
+    result
 }
 
 #[cfg(test)]
@@ -1295,7 +760,16 @@ mod tests {
         );
     }
 
-    // ---- seed-count fallback boundary (FALLBACK_NUM/FALLBACK_DEN, FALLBACK_FLOOR) ---
+    // ---- routing: fully placed and >= FALLBACK_FLOOR nodes -> flat, else cone -----
+
+    /// Places every task of `g` on processor 0 in id order, `gap` apart, from `start`.
+    fn place_in_order(b: &mut ScheduleBuilder<'_>, g: &TaskGraph, start: f64, gap: f64) {
+        let mut cursor = start;
+        for t in g.task_ids() {
+            b.place_task(t, ProcId(0), cursor);
+            cursor = b.finish_of(t) + gap;
+        }
+    }
 
     #[test]
     fn below_the_node_floor_the_fallback_never_fires() {
@@ -1303,100 +777,160 @@ mod tests {
         // still match the oracle exactly.
         let (g, sys) = placed_chain(40);
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        let mut cursor = 100.0;
-        for t in g.task_ids() {
-            b.place_task(t, ProcId(0), cursor);
-            cursor = b.finish_of(t) + 7.0;
-        }
+        place_in_order(&mut b, &g, 100.0, 7.0);
         let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
-        assert!(!stats.fell_back);
+        assert_eq!(stats.kind, RetimeKind::Cone);
         assert_eq!(stats.cone_nodes, 40);
         assert!(b.same_schedule_state(&oracle));
     }
 
     #[test]
-    fn seed_counts_on_both_sides_of_the_fallback_threshold_match_the_oracle() {
-        // 80 placed tasks, no routes: 80 decision-graph nodes, seed threshold at
-        // seeds > 80 * 3/4 = 60.  61 seeds trip the seed-count route before any other
-        // check; 60 stay under it and land in the delta kernel, which converges well
-        // inside its budget (the chain is already settled, so no value moves).  Either
-        // path must be invisible in the results: both sides bit-identical to the full
-        // relaxation.
-        let (g, sys) = placed_chain(80);
-        assert_eq!(g.num_tasks() * FALLBACK_NUM / FALLBACK_DEN, 60);
-        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        let mut cursor = 0.0;
-        for t in g.task_ids() {
-            b.place_task(t, ProcId(0), cursor);
-            cursor = b.finish_of(t);
-        }
-        b.recompute_times_incremental().unwrap();
-
-        let at_threshold: Vec<TaskId> = g.task_ids().take(60).collect();
-        let mut oracle = b.clone();
-        let stats = b.recompute_times_from(&at_threshold).unwrap();
-        oracle.recompute_times().unwrap();
-        assert_eq!(stats.seed_nodes, 60);
-        assert_eq!(
-            stats.kind,
-            RetimeKind::Delta,
-            "60 early seeds stay under the seed-count route and settle in the delta kernel"
-        );
-        assert!(!stats.fell_back);
-        assert!(b.same_schedule_state(&oracle));
-
-        let over_threshold: Vec<TaskId> = g.task_ids().take(61).collect();
-        let mut oracle = b.clone();
-        let stats = b.recompute_times_from(&over_threshold).unwrap();
-        oracle.recompute_times().unwrap();
-        assert!(stats.fell_back, "seeds > threshold must flat-route");
-        assert_eq!(stats.kind, RetimeKind::FlatSeeds);
-        assert_eq!(stats.seed_nodes, 61);
-        assert!(b.same_schedule_state(&oracle));
-    }
-
-    #[test]
-    fn late_seeds_above_the_floor_stay_on_the_cone_path() {
-        // Same 80-node schedule, but the seeds sit in the last five slots: the horizon
-        // estimate sees a five-node suffix and keeps the pass cone-local.
+    fn fully_placed_passes_above_the_floor_run_flat_and_partial_ones_the_cone() {
+        // 80 placed tasks, no routes: 80 decision-graph nodes >= FALLBACK_FLOOR.  The
+        // seed count and position do not matter: early, many, and late seeds all run
+        // the flat sweep, and each pass is bit-identical to the full relaxation.
         let (g, sys) = placed_chain(80);
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        let mut cursor = 0.0;
-        for t in g.task_ids() {
-            b.place_task(t, ProcId(0), cursor);
-            cursor = b.finish_of(t);
-        }
+        place_in_order(&mut b, &g, 0.0, 0.0);
         b.recompute_times_incremental().unwrap();
-        let late: Vec<TaskId> = g.task_ids().skip(75).collect();
+        let seed_sets: [Vec<TaskId>; 3] = [
+            g.task_ids().take(60).collect(),
+            g.task_ids().take(61).collect(),
+            g.task_ids().skip(75).collect(),
+        ];
+        for seeds in &seed_sets {
+            let mut oracle = b.clone();
+            let stats = b.recompute_times_from(seeds).unwrap();
+            oracle.recompute_times().unwrap();
+            assert_eq!(stats.kind, RetimeKind::Flat);
+            assert_eq!(stats.seed_nodes, seeds.len());
+            assert_eq!(stats.cone_nodes, 80);
+            assert!(b.same_schedule_state(&oracle));
+        }
+
+        // The same chain plus one isolated task that stays unplaced: every pass runs
+        // the cone kernel, which matches the oracle run once the spare is placed on
+        // the other processor (where it touches nothing).
+        let mut gb = TaskGraphBuilder::new();
+        let mut prev = gb.add_task("t0", 10.0);
+        for i in 1..80 {
+            let t = gb.add_task(format!("t{i}"), 10.0);
+            gb.add_edge(prev, t, 1.0).unwrap();
+            prev = t;
+        }
+        let spare = gb.add_task("spare", 10.0);
+        let g = gb.build().unwrap();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(2).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        let mut cursor = 30.0;
+        for t in g.task_ids().take(80) {
+            b.place_task(t, ProcId(0), cursor);
+            cursor = b.finish_of(t) + 5.0;
+        }
         let mut oracle = b.clone();
-        let stats = b.recompute_times_from(&late).unwrap();
+        let stats = b.recompute_times_incremental().unwrap();
+        assert_eq!(stats.kind, RetimeKind::Cone);
+        assert_eq!(stats.cone_nodes, 80);
+        oracle.place_task(spare, ProcId(1), 0.0);
         oracle.recompute_times().unwrap();
-        assert!(!stats.fell_back, "a five-node suffix must stay cone-local");
-        assert_eq!(stats.seed_nodes, 5);
-        assert_eq!(stats.cone_nodes, 5);
-        assert!(b.same_schedule_state(&oracle));
+        for t in g.task_ids().take(80) {
+            assert_eq!(b.start_of(t), oracle.start_of(t));
+            assert_eq!(b.finish_of(t), oracle.finish_of(t));
+        }
     }
 
     #[test]
     fn bulk_placement_above_the_floor_falls_back_and_matches_the_oracle() {
-        // Freshly placing every task marks them all dirty: 80/80 seeds > 3/4 — the
-        // classic bulk-mutation batch the fallback exists for.
+        // Freshly placing every task marks them all dirty: the bulk-mutation batch a
+        // resolve step or a freshly built schedule re-times.
         let (g, sys) = placed_chain(80);
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        let mut cursor = 50.0;
-        for t in g.task_ids() {
-            b.place_task(t, ProcId(0), cursor);
-            cursor = b.finish_of(t) + 3.0;
-        }
+        place_in_order(&mut b, &g, 50.0, 3.0);
         let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
-        assert!(stats.fell_back);
+        assert_eq!(stats.kind, RetimeKind::Flat);
         assert!(b.same_schedule_state(&oracle));
-        // The fallback cleared the dirty list like a normal pass would.
+        // The flat sweep cleared the dirty list like a cone pass would.
         let stats = b.recompute_times_incremental().unwrap();
         assert_eq!(stats.cone_nodes, 0);
+    }
+
+    // ---- the reduced graph and its error checks ------------------------------------
+
+    #[test]
+    fn flat_sweep_leaves_out_local_messages_implied_by_processor_order() {
+        // A one-processor chain of n tasks joined by local messages: processor order
+        // already orders every message, so the reduced graph keeps n - 1 edges, not
+        // 2(n - 1).
+        let n = 80;
+        let (g, sys) = placed_chain(n);
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        place_in_order(&mut b, &g, 20.0, 4.0);
+        let mut oracle = b.clone();
+        let stats = b.recompute_times_incremental().unwrap();
+        oracle.recompute_times().unwrap();
+        assert_eq!(stats.kind, RetimeKind::Flat);
+        assert_eq!(stats.cone_nodes, n);
+        assert_eq!(stats.cone_edges, n - 1);
+        assert_eq!(stats.changed_nodes, n);
+        assert!(b.same_schedule_state(&oracle));
+    }
+
+    #[test]
+    fn flat_sweep_reports_a_consumer_placed_before_its_producer_as_a_cycle() {
+        // Swapping t40 and t41 on their processor puts the consumer of the route-less
+        // message t40 -> t41 first.  The flat sweep keeps that message as an edge, the
+        // Kahn pass finds the cycle, and the builder is left as it was, as the oracle
+        // leaves it.
+        let (g, sys) = placed_chain(80);
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        place_in_order(&mut b, &g, 0.0, 0.0);
+        b.recompute_times_incremental().unwrap();
+        let (t40, t41) = (TaskId(40), TaskId(41));
+        let slot = b.start_of(t40);
+        b.unplace_task(t40);
+        b.unplace_task(t41);
+        b.place_task(t41, ProcId(0), slot);
+        b.place_task(t40, ProcId(0), b.finish_of(t41));
+        let snapshot = b.clone();
+        let mut oracle = b.clone();
+        assert_eq!(
+            b.recompute_times_incremental(),
+            Err(RecomputeError::CyclicDecisions)
+        );
+        assert_eq!(
+            oracle.recompute_times(),
+            Err(RecomputeError::CyclicDecisions)
+        );
+        assert!(b.same_schedule_state(&snapshot));
+        assert!(oracle.same_schedule_state(&snapshot));
+        assert_eq!(b.dirty, snapshot.dirty, "a failed pass keeps its seeds");
+    }
+
+    #[test]
+    fn flat_sweep_reports_a_missing_route_of_a_moved_consumer() {
+        // t41 moves to P1 and its incoming message keeps no route: the first remote
+        // route-less message (edge 40) is the error, as in the oracle.
+        let (g, sys) = placed_chain(80);
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        place_in_order(&mut b, &g, 0.0, 0.0);
+        b.recompute_times_incremental().unwrap();
+        let t41 = TaskId(41);
+        b.evict_task(t41);
+        b.place_task(t41, ProcId(1), 0.0);
+        let snapshot = b.clone();
+        let mut oracle = b.clone();
+        assert_eq!(
+            b.recompute_times_incremental(),
+            Err(RecomputeError::MissingRoute(EdgeId(40)))
+        );
+        assert_eq!(
+            oracle.recompute_times(),
+            Err(RecomputeError::MissingRoute(EdgeId(40)))
+        );
+        assert!(b.same_schedule_state(&snapshot));
     }
 }

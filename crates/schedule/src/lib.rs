@@ -17,9 +17,10 @@
 //!
 //! * [`ScheduleBuilder::recompute_times`] — full Kahn relaxation over every task and
 //!   hop (the oracle, see [`recompute`]);
-//! * [`ScheduleBuilder::recompute_times_from`] — dirty-cone incremental relaxation
-//!   over only the nodes affected by the mutations since the last re-timing (the hot
-//!   path, see [`incremental`]).
+//! * [`ScheduleBuilder::recompute_times_from`] — the hot path (see [`incremental`]): a
+//!   flat sweep over the reduced decision graph on fully placed schedules, or a
+//!   relaxation of only the nodes downstream of the mutations since the last
+//!   re-timing (the dirty cone) on partial ones.
 //!
 //! Mutations are transactional ([`txn`]): [`ScheduleBuilder::begin_txn`] /
 //! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give speculative

@@ -22,9 +22,10 @@
 //!    router as the cold path — routes over downed links are recomputed only for the
 //!    affected pairs) and placing the task in the earliest gap; the best finish wins,
 //!    ties to the lower processor id.
-//! 4. **Re-time** with the dirty-cone kernel, seeded by the mutation log accumulated
-//!    in steps 2–3 (`recompute_times_from` with the repaired frontier as explicit
-//!    seeds), which compacts the schedule exactly like a cold solver's final pass.
+//! 4. **Re-time** once with `recompute_times_from`, seeded by the mutation log
+//!    accumulated in steps 2–3 and the repaired frontier.  Every task is placed by
+//!    then, so above the 64-node floor this is one bulk flat sweep; it compacts the
+//!    schedule exactly like a cold solver's final pass.
 //!
 //! Budgets behave differently from cold solves, deliberately: a resolve must return a
 //! **feasible** schedule, so an exhausted budget (deadline, migration budget,

@@ -1,55 +1,51 @@
 //! Persistent decision-graph scaffolding and scratch arenas for the incremental
 //! re-timing pass (see DESIGN.md §7.5).
 //!
-//! PR 2's dirty-cone kernel relaxed only the cone, but still paid O(V + E) *before* the
-//! cone even started: every call to [`crate::incremental`] reallocated and refilled the
-//! flat hop numbering (`hop_base` prefix sums), the task/hop slot maps, and the per-pass
-//! relaxation vectors.  At 1000+ tasks this setup dwarfed the cone itself and the
-//! incremental-vs-full speedup decayed from ~1.7× to ~1.25× (`BENCH_scaling.json`,
-//! PR 2).  This module makes one migration cost proportional to its *cone*, not to the
-//! *problem*:
+//! Without it, every re-timing pass would pay O(V + E) set-up before relaxing
+//! anything: reallocating and refilling the flat hop numbering, the task/hop slot
+//! maps, and the relaxation vectors.  The scaffold keeps all of that across passes:
 //!
-//! * **Persistent scaffolding** — the per-edge route lengths ([`RetimeScaffold::hop_len`])
-//!   and their sum ([`RetimeScaffold::total_hops`]) are maintained incrementally by the
-//!   builder's mutation primitives (`push_hop`, `set_route`, `clear_route`) and by the
-//!   undo interpreter on rollback, so the pass never runs the O(E) `hop_base` prefix
-//!   scan again.  A property test pins the maintained state byte-equal to one rebuilt
-//!   from scratch after arbitrary mutation/commit/rollback storms.
-//! * **Epoch-stamped slot maps** — membership of a task or hop in the current cone is a
+//! * **Persistent mirrors** — the per-edge route lengths ([`RetimeScaffold::hop_len`])
+//!   and their sum ([`RetimeScaffold::total_hops`]) are maintained by the builder's
+//!   mutation primitives (`push_hop`, `set_route`, `clear_route`) and by the undo
+//!   interpreter on rollback.  The flat sweep numbers its hops from `hop_len` without
+//!   touching the routes, and the cone kernel never needs the numbering.  A property
+//!   test pins the mirrors byte-equal to a rebuild after mutation/commit/rollback
+//!   storms.
+//! * **Epoch-stamped slot maps** — the cone kernel's membership of a task or hop is a
 //!   `(stamp, slot)` pair packed in a `u64`; a pass begins by bumping a `u32` epoch
-//!   instead of clearing (or worse, reallocating) the maps.  Lookup stays a dense array
-//!   index — no hashing, no zero-fill.
-//! * **Scratch arenas** — cone nodes, timeline positions, dependency edges, the CSR, and
-//!   the Kahn queue are `clear()`-reused vectors whose capacity survives across all
-//!   migrations of a run.  After the first few migrations reach the high-water mark,
+//!   instead of clearing (or reallocating) the maps.  Lookup stays a dense array
+//!   index: no hashing, no zero-fill.
+//! * **Scratch arenas** — cone nodes, timeline positions, the dependency list, the CSR,
+//!   durations, and the Kahn frontiers are `clear()`-reused vectors shared by both
+//!   kernels, whose capacity survives across all passes of a run.  Once they reach
+//!   their high-water mark,
 //!   [`crate::builder::ScheduleBuilder::recompute_times_from`] performs **zero heap
 //!   allocations** (asserted by a counting-allocator test in `tests/zero_alloc.rs` and
 //!   tracked by [`RetimeScaffold::realloc_events`]).
 //!
-//! The scaffold is owned by the builder but holds no schedule semantics of its own: the
-//! epoch discipline makes every pass start from a logically empty cone, and the
-//! persistent parts are pure mirrors of `routes[e].len()`.  Rollback therefore only has
-//! to keep the mirrors honest (via the same `set_route_len` hook the forward mutations
-//! use); the arenas need no undo at all.
+//! The scaffold is owned by the builder but holds no schedule semantics of its own:
+//! the epoch discipline makes every pass start from empty arenas, and the persistent
+//! parts are pure mirrors of `routes[e].len()`.  Rollback therefore only has to keep
+//! the mirrors honest (via the same `set_route_len` hook the forward mutations use);
+//! the arenas need no undo at all.
 
 use crate::schedule::MessageHop;
 use crate::txn::DirtyNode;
-use std::collections::VecDeque;
 
 /// Sentinel for "not in the cone" in slot lookups.
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Persistent scaffolding + scratch arenas for the dirty-cone re-timing pass.
+/// Persistent scaffolding + scratch arenas for the re-timing kernels.
 ///
 /// One instance lives inside every [`crate::builder::ScheduleBuilder`]; see the module
-/// documentation for the design.  Fields are `pub(crate)` so the pass in
-/// [`crate::incremental`] can split-borrow the arenas around the shared cone tables.
+/// documentation for the design.  Fields are `pub(crate)` so the kernels in
+/// [`crate::incremental`] can split-borrow the arenas around the shared tables.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RetimeScaffold {
     // ---- persistent, incrementally maintained ------------------------------------
     /// Mirror of `routes[e].len()`, kept in lockstep by every route mutation (and by
-    /// rollback).  Lets the pass size its fallback decision in O(1) and lets the
-    /// property suite verify the incremental maintenance against a rebuild.
+    /// rollback).  The flat sweep numbers hops and finds each chain's last hop from it.
     pub(crate) hop_len: Vec<u32>,
     /// Sum of `hop_len` — the total number of booked hops, maintained in O(1).
     pub(crate) total_hops: usize,
@@ -65,66 +61,34 @@ pub(crate) struct RetimeScaffold {
     pub(crate) hop_mark: Vec<Vec<u64>>,
 
     // ---- scratch arenas (clear()-reused, capacity persists) ----------------------
-    /// Cone nodes in discovery order.
+    /// Cone nodes in discovery order (cone kernel).
     pub(crate) nodes: Vec<DirtyNode>,
-    /// Timeline position of each cone node's interval.
+    /// Timeline position of each cone node's interval (cone kernel), or of each task
+    /// on its processor (flat sweep).
     pub(crate) tpos: Vec<u32>,
-    /// Cone-local dependency edges (slot → slot).
+    /// Dependency edges `(u, v)`: the cone's (slot → slot) or the reduced graph's (flat
+    /// node id → flat node id).
     pub(crate) dep_edges: Vec<(u32, u32)>,
-    /// Earliest-start accumulator per cone node.
+    /// Earliest-start accumulator per node.
     pub(crate) start: Vec<f64>,
-    /// Finish time per cone node.
+    /// Finish time per node.
     pub(crate) finish: Vec<f64>,
-    /// Kahn in-degrees per cone node.
+    /// Duration per node.
+    pub(crate) dur: Vec<f64>,
+    /// Kahn in-degrees per node.
     pub(crate) indeg: Vec<u32>,
     /// CSR row offsets (`m + 1` entries).
     pub(crate) offsets: Vec<u32>,
-    /// CSR fill cursors (scratch copy of `offsets`).
-    pub(crate) fill: Vec<u32>,
     /// CSR adjacency (one entry per dependency edge).
     pub(crate) csr: Vec<u32>,
-    /// Kahn ready queue.
-    pub(crate) queue: VecDeque<u32>,
-    /// Delta-kernel worklist membership per cone slot: a node already queued for
-    /// re-evaluation is not queued again (it will observe the newer predecessor value
-    /// when popped), collapsing the per-predecessor churn to one evaluation per
-    /// update wave.
-    pub(crate) queued: Vec<bool>,
-    /// Delta-kernel worklist: a min-heap of `(committed-start key, slot)`.  Popping in
-    /// committed-start order approximates topological order (every pre-existing
-    /// decision edge points from an earlier committed start to a later one, durations
-    /// being positive), so almost every node is evaluated exactly once — the unordered
-    /// FIFO re-evaluated each node ~2.5–5× per pass on the 1000-task benchmark.
-    pub(crate) heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    /// Committed-start heap key per cone slot, fixed at discovery (scratch starts
-    /// move during the pass; the key must not).
-    pub(crate) key: Vec<u64>,
-    /// Current level of the flat relaxation's batched frontier (see
-    /// `crate::incremental::flat_relax`): nodes whose predecessors are all settled.
+    /// Current level of the batched Kahn frontier: nodes whose predecessors are all
+    /// settled.
     pub(crate) frontier: Vec<u32>,
     /// Next level of the batched frontier (swapped with `frontier` per sweep).
     pub(crate) frontier_next: Vec<u32>,
-    /// Flat-relaxation hop numbering: prefix sums of route lengths (`num_edges + 1`
-    /// entries), refilled per flat pass (the flat pass is O(V + E) anyway).
+    /// Flat sweep: node id of each edge's hop 0 (`num_tasks` plus the prefix sum of
+    /// `hop_len`), refilled per flat pass.
     pub(crate) hop_base: Vec<u32>,
-    /// Flat-relaxation durations per node.
-    pub(crate) dur: Vec<f64>,
-
-    // ---- measured cone-vs-flat crossover model -----------------------------------
-    /// Accumulated cone sizes of completed cone passes (numerator of the observed
-    /// cone-per-estimate growth ratio ĝ; see [`RetimeScaffold::flat_by_model`]).
-    xover_cone: u64,
-    /// Accumulated seed-horizon estimates of those same passes (denominator of ĝ).
-    xover_est: u64,
-    /// Accumulated affected-set sizes of delta passes (numerator of the observed
-    /// affected-per-estimate ratio ĝΔ; see [`RetimeScaffold::delta_by_model`]).
-    /// Successful passes feed their final affected count; bailed passes feed the
-    /// count discovered up to the bail — a lower bound, which only makes the model
-    /// more willing to retry delta, never less.
-    xover_delta_aff: u64,
-    /// Accumulated seed-horizon estimates of those same delta passes (denominator
-    /// of ĝΔ).
-    xover_delta_est: u64,
 
     /// Number of passes after which some arena had to grow (capacity high-water moved).
     /// Steady state is *zero new events*: the counting-allocator test asserts the hard
@@ -183,39 +147,29 @@ impl RetimeScaffold {
         self.dep_edges.clear();
         self.start.clear();
         self.finish.clear();
+        self.dur.clear();
         self.indeg.clear();
         self.offsets.clear();
-        self.fill.clear();
         self.csr.clear();
-        self.queue.clear();
-        self.queued.clear();
-        self.heap.clear();
-        self.key.clear();
         self.frontier.clear();
         self.frontier_next.clear();
         self.hop_base.clear();
-        self.dur.clear();
     }
 
     /// Ends a pass: records whether any arena grew past the previous high-water mark.
     pub(crate) fn end_pass(&mut self) {
         let cap = self.nodes.capacity()
             + self.tpos.capacity()
-            + self.dep_edges.capacity() * 2
+            + self.dep_edges.capacity()
             + self.start.capacity()
             + self.finish.capacity()
+            + self.dur.capacity()
             + self.indeg.capacity()
             + self.offsets.capacity()
-            + self.fill.capacity()
             + self.csr.capacity()
-            + self.queue.capacity()
-            + self.queued.capacity()
-            + self.heap.capacity() * 2
-            + self.key.capacity()
             + self.frontier.capacity()
             + self.frontier_next.capacity()
-            + self.hop_base.capacity()
-            + self.dur.capacity() * 2;
+            + self.hop_base.capacity();
         if cap > self.capacity_watermark {
             if self.capacity_watermark != 0 {
                 self.realloc_events += 1;
@@ -229,81 +183,6 @@ impl RetimeScaffold {
         self.realloc_events
     }
 
-    /// Feeds the crossover model one completed cone pass: the pass's seed-horizon
-    /// estimate said `est` nodes, the finished cone actually held `cone_nodes`.  The
-    /// accumulated ratio ĝ = Σcone / Σest measures how much of the horizon a cone
-    /// really covers *on this workload*; both accumulators are halved past a cap so the
-    /// model tracks the current solve phase (an exponential moving average in integer
-    /// arithmetic — deterministic, unlike any wall-clock-fed model, so thread-mirror
-    /// replays and repeated solves route identically).
-    pub(crate) fn note_cone_observation(&mut self, cone_nodes: usize, est: usize) {
-        if est == 0 {
-            return;
-        }
-        self.xover_cone += cone_nodes as u64;
-        self.xover_est += est as u64;
-        if self.xover_est > 1 << 20 {
-            self.xover_cone /= 2;
-            self.xover_est /= 2;
-        }
-    }
-
-    /// Feeds the delta-vs-flat model one delta attempt: the pass's seed-horizon
-    /// estimate said `est` nodes and the kernel touched `affected` of them (the final
-    /// affected set on success, the partial set at the bail point otherwise).  Same
-    /// integer-EWMA shape as [`RetimeScaffold::note_cone_observation`], tracking the
-    /// distinct ratio ĝΔ = Σaffected / Σest — on the steady-state migration workload
-    /// the affected set is much smaller than the successor closure, so the two models
-    /// must learn separately.
-    pub(crate) fn note_delta_observation(&mut self, affected: usize, est: usize) {
-        if est == 0 {
-            return;
-        }
-        self.xover_delta_aff += affected as u64;
-        self.xover_delta_est += est as u64;
-        if self.xover_delta_est > 1 << 20 {
-            self.xover_delta_aff /= 2;
-            self.xover_delta_est /= 2;
-        }
-    }
-
-    /// The measured delta-vs-flat routing decision: skip the delta attempt iff the
-    /// *predicted* affected set — the horizon estimate scaled by the observed ratio
-    /// ĝΔ — exceeds a sixth of the decision graph (`6 · ĝΔ · est > total`).  The
-    /// profiled per-node cost ratio alone is ≈4× (one delta evaluation pays for
-    /// heap-ordered discovery, committed-position searches, and route pointer chasing
-    /// against one level-batched flat relaxation step); the calibrated factor is
-    /// higher because a wrong delta attempt also pays the bail and seed-rebuild
-    /// overhead, and because ĝΔ's feed mixes visited counts (attempted passes) with
-    /// changed counts (skipped passes), which biases it low.  Six is the measured
-    /// wall-clock optimum on both the 1000- and 3000-task bench cells, with a flat
-    /// plateau up to ~8.  With no observations yet the model is optimistic (ĝΔ = 0 →
-    /// always try delta): the budget bail bounds the downside of a wrong first guess
-    /// and immediately feeds the model.  Routing only — both kernels compute the
-    /// identical fixpoint.
-    pub(crate) fn delta_by_model(&self, est: usize, total_nodes: usize) -> bool {
-        if self.xover_delta_est == 0 {
-            return false;
-        }
-        6 * self.xover_delta_aff * (est as u64) > (total_nodes as u64) * self.xover_delta_est
-    }
-
-    /// The measured cone-vs-flat routing decision: go flat iff the *predicted* cone —
-    /// the horizon estimate scaled by the observed growth ratio ĝ — exceeds half the
-    /// decision graph (`2 · ĝ · est > total`).  With no observations yet, ĝ defaults
-    /// to 1 and the rule degenerates to the static `est > total / 2` heuristic this
-    /// model replaces; as cone passes complete, ĝ < 1 workloads (slack absorbs most of
-    /// the horizon) keep more passes cone-local.  Routing only — every kernel computes
-    /// the identical fixpoint, so the model can never change a schedule.
-    pub(crate) fn flat_by_model(&self, est: usize, total_nodes: usize) -> bool {
-        let (num, den) = if self.xover_est == 0 {
-            (1, 1)
-        } else {
-            (self.xover_cone.max(1), self.xover_est)
-        };
-        2 * num * (est as u64) > (total_nodes as u64) * den
-    }
-
     /// Cone slot of `n`, or [`NONE`] if `n` is outside the cone this pass.  The pass
     /// itself uses [`slot_lookup`] against split borrows; this convenience wrapper
     /// serves the unit tests.
@@ -313,8 +192,7 @@ impl RetimeScaffold {
     }
 
     /// Claims the next cone slot for `n` if it has none yet.  Returns `(slot, fresh)`;
-    /// when `fresh` the caller must push the node's timeline position via
-    /// [`RetimeScaffold::push_node_pos`].
+    /// when `fresh` the caller must push the node's timeline position onto `tpos`.
     pub(crate) fn claim_slot(&mut self, n: DirtyNode) -> (u32, bool) {
         let epoch = self.epoch;
         let mark = match n {
@@ -328,11 +206,6 @@ impl RetimeScaffold {
         *mark = ((epoch as u64) << 32) | slot as u64;
         self.nodes.push(n);
         (slot, true)
-    }
-
-    /// Completes [`RetimeScaffold::claim_slot`] for a fresh node.
-    pub(crate) fn push_node_pos(&mut self, pos: u32) {
-        self.tpos.push(pos);
     }
 
     /// The persistent mirrors rebuilt from scratch, for equality checks against the
@@ -391,13 +264,13 @@ mod tests {
         sc.begin_pass();
         let (s0, fresh) = sc.claim_slot(DirtyNode::Task(TaskId(1)));
         assert!(fresh);
-        sc.push_node_pos(0);
+        sc.tpos.push(0);
         assert_eq!(s0, 0);
         assert_eq!(sc.slot(DirtyNode::Task(TaskId(1))), 0);
         assert_eq!(sc.slot(DirtyNode::Task(TaskId(0))), NONE);
         let (h, fresh) = sc.claim_slot(DirtyNode::Hop(EdgeId(0), 1));
         assert!(fresh);
-        sc.push_node_pos(0);
+        sc.tpos.push(0);
         assert_eq!(h, 1);
         // Re-claiming is a no-op.
         assert_eq!(sc.claim_slot(DirtyNode::Task(TaskId(1))), (0, false));
@@ -426,7 +299,7 @@ mod tests {
         sc.begin_pass();
         for i in 0..4 {
             sc.claim_slot(DirtyNode::Task(TaskId(i)));
-            sc.push_node_pos(0);
+            sc.tpos.push(0);
         }
         sc.end_pass();
         // First pass establishes the watermark without counting an event.

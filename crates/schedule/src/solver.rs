@@ -707,55 +707,53 @@ pub struct MigrationRecord {
     pub vip_rule: bool,
 }
 
-/// Aggregated phase counters of every re-timing pass in a run (setup → cone → relax →
-/// write-back; see [`crate::RetimeStats`]).  Surfaced so benches and the worked-example
-/// binaries can report how much decision-graph work the incremental kernel actually
-/// did, instead of inferring it from wall time alone.
+/// Aggregated phase counters of every re-timing pass in a run (seeds → relaxed nodes
+/// and edges → changed nodes; see [`crate::RetimeStats`]).  Surfaced so benches and the
+/// worked-example binaries can report how much decision-graph work the incremental
+/// kernels actually did, instead of inferring it from wall time alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RetimeTotals {
     /// Re-timing passes performed after accepted migrations.
     pub passes: usize,
-    /// Passes that fell back to the full relaxation (seed set covered most of the
-    /// schedule — never in BSA's steady state).
+    /// Passes that ran the flat sweep over the whole reduced decision graph (see
+    /// [`crate::RetimeKind::Flat`]); the rest ran the cone kernel.
     pub fallbacks: usize,
-    /// Setup phase: live, deduplicated seed nodes across all passes.
+    /// Live, deduplicated seed nodes across all passes.
     pub seed_nodes: usize,
-    /// Cone phase: decision-graph nodes pulled into dirty cones.
+    /// Decision-graph nodes relaxed: dirty cones, and the whole graph per flat sweep.
     pub cone_nodes: usize,
-    /// Relax phase: cone-local dependency edges relaxed by the Kahn passes.
+    /// Dependency edges relaxed by the Kahn passes.
     pub cone_edges: usize,
-    /// Write-back phase: nodes whose start/finish actually moved.
+    /// Nodes whose start/finish actually moved.
     pub changed_nodes: usize,
-    /// Passes finished by the value-driven delta kernel (no closure materialized).
+    /// Always 0: neither kernel propagates deltas.  Kept so the trace JSON, the
+    /// daemon's `status.retime` object and bsabench keep their keys.
     pub delta_passes: usize,
-    /// Node re-evaluations performed by the delta kernel, including bailed attempts
-    /// that were finished by another kernel.
+    /// Always 0, like [`RetimeTotals::delta_passes`].
     pub delta_evals: usize,
-    /// Flat sweeps routed by seed saturation (bulk-mutation batches).
+    /// Every flat sweep, the same count as [`RetimeTotals::fallbacks`].  One routing
+    /// rule is left (fully placed and at least [`crate::incremental::FALLBACK_FLOOR`]
+    /// nodes → flat), so this field counts all flat passes and the other two
+    /// `flat_by_*` fields stay 0; all three keep their keys for the same readers as
+    /// [`RetimeTotals::delta_passes`].
     pub flat_by_seeds: usize,
-    /// Flat sweeps routed by the measured cone-vs-flat crossover model.
+    /// Always 0; see [`RetimeTotals::flat_by_seeds`].
     pub flat_by_model: usize,
-    /// Flat sweeps routed by the cone-growth cap mid-discovery.
+    /// Always 0; see [`RetimeTotals::flat_by_seeds`].
     pub flat_by_cap: usize,
 }
 
 impl RetimeTotals {
     /// Folds one pass's stats into the totals.
     pub fn absorb(&mut self, s: &crate::RetimeStats) {
+        let flat = usize::from(s.kind == crate::RetimeKind::Flat);
         self.passes += 1;
-        self.fallbacks += usize::from(s.fell_back);
+        self.fallbacks += flat;
+        self.flat_by_seeds += flat;
         self.seed_nodes += s.seed_nodes;
         self.cone_nodes += s.cone_nodes;
         self.cone_edges += s.cone_edges;
         self.changed_nodes += s.changed_nodes;
-        self.delta_evals += s.delta_evals;
-        match s.kind {
-            crate::RetimeKind::Cone => {}
-            crate::RetimeKind::Delta => self.delta_passes += 1,
-            crate::RetimeKind::FlatSeeds => self.flat_by_seeds += 1,
-            crate::RetimeKind::FlatModel => self.flat_by_model += 1,
-            crate::RetimeKind::FlatCap => self.flat_by_cap += 1,
-        }
     }
 
     /// Folds another total into this one (e.g. per-run traces into a daemon-lifetime

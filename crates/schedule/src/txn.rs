@@ -16,10 +16,11 @@
 //! an inner one keeps its entries so that an outer rollback still undoes them.
 //!
 //! The same mutation hooks also feed the *dirty-node* list consumed by the
-//! dirty-cone re-timing pass ([`ScheduleBuilder::recompute_times_from`]): every
+//! incremental re-timing pass ([`ScheduleBuilder::recompute_times_from`]): every
 //! operation marks the decision-graph nodes whose predecessor set it changed, so the
-//! incremental pass knows exactly which cone to relax.  Rolling a transaction back
-//! restores the dirty list to its pre-transaction contents.
+//! cone kernel knows exactly which cone to relax and the flat sweep knows which
+//! tasks' messages to check.  Rolling a transaction back restores the dirty list to
+//! its pre-transaction contents.
 
 use crate::builder::ScheduleBuilder;
 use crate::schedule::MessageHop;
