@@ -787,32 +787,33 @@ mod tests {
     }
 
     #[test]
-    fn fully_placed_passes_above_the_floor_run_flat_and_partial_ones_the_cone() {
+    fn seed_counts_on_both_sides_of_the_fallback_threshold_match_the_oracle() {
         // 80 placed tasks, no routes: 80 decision-graph nodes >= FALLBACK_FLOOR.  The
-        // seed count and position do not matter: early, many, and late seeds all run
-        // the flat sweep, and each pass is bit-identical to the full relaxation.
+        // seed count no longer routes a pass: 60 and 61 seeds, either side of the old
+        // three-quarter seed threshold, both run the flat sweep because every task is
+        // placed, and each pass is bit-identical to the full relaxation.
         let (g, sys) = placed_chain(80);
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
         place_in_order(&mut b, &g, 0.0, 0.0);
         b.recompute_times_incremental().unwrap();
-        let seed_sets: [Vec<TaskId>; 3] = [
-            g.task_ids().take(60).collect(),
-            g.task_ids().take(61).collect(),
-            g.task_ids().skip(75).collect(),
-        ];
-        for seeds in &seed_sets {
+        for count in [60, 61] {
+            let seeds: Vec<TaskId> = g.task_ids().take(count).collect();
             let mut oracle = b.clone();
-            let stats = b.recompute_times_from(seeds).unwrap();
+            let stats = b.recompute_times_from(&seeds).unwrap();
             oracle.recompute_times().unwrap();
             assert_eq!(stats.kind, RetimeKind::Flat);
-            assert_eq!(stats.seed_nodes, seeds.len());
+            assert_eq!(stats.seed_nodes, count);
             assert_eq!(stats.cone_nodes, 80);
             assert!(b.same_schedule_state(&oracle));
         }
+    }
 
-        // The same chain plus one isolated task that stays unplaced: every pass runs
-        // the cone kernel, which matches the oracle run once the spare is placed on
-        // the other processor (where it touches nothing).
+    #[test]
+    fn late_seeds_above_the_floor_stay_on_the_cone_path() {
+        // The same 80-task chain plus one isolated task that stays unplaced: the pass
+        // is partial, so seeds in the last five slots stay on the cone path and relax
+        // only that five-node suffix.  The result matches the oracle run once the spare
+        // is placed on the other processor (where it touches nothing).
         let mut gb = TaskGraphBuilder::new();
         let mut prev = gb.add_task("t0", 10.0);
         for i in 1..80 {
@@ -829,16 +830,30 @@ mod tests {
             b.place_task(t, ProcId(0), cursor);
             cursor = b.finish_of(t) + 5.0;
         }
-        let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         assert_eq!(stats.kind, RetimeKind::Cone);
         assert_eq!(stats.cone_nodes, 80);
+
+        let late: Vec<TaskId> = g.task_ids().skip(75).take(5).collect();
+        let mut oracle = b.clone();
+        let stats = b.recompute_times_from(&late).unwrap();
+        assert_eq!(stats.kind, RetimeKind::Cone);
+        assert_eq!(stats.seed_nodes, 5);
+        assert_eq!(stats.cone_nodes, 5);
         oracle.place_task(spare, ProcId(1), 0.0);
         oracle.recompute_times().unwrap();
         for t in g.task_ids().take(80) {
             assert_eq!(b.start_of(t), oracle.start_of(t));
             assert_eq!(b.finish_of(t), oracle.finish_of(t));
         }
+
+        // Once the spare is placed the pass is fully placed, and the same late seeds
+        // run the flat sweep, bit-identical to the oracle.
+        b.place_task(spare, ProcId(1), 0.0);
+        let stats = b.recompute_times_from(&late).unwrap();
+        assert_eq!(stats.kind, RetimeKind::Flat);
+        assert_eq!(stats.seed_nodes, 6);
+        assert!(b.same_schedule_state(&oracle));
     }
 
     #[test]
