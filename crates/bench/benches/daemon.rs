@@ -82,7 +82,7 @@ fn timed_submit(
 }
 
 fn stats(samples: &mut [f64]) -> (f64, f64) {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples.sort_by(f64::total_cmp);
     (samples[0], samples[samples.len() / 2])
 }
 

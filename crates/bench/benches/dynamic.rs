@@ -203,6 +203,7 @@ fn write_json(path: &str, quick: bool, results: &[CellResult]) -> std::io::Resul
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"dynamic\",\n");
+    out.push_str(&bsa_bench::env_header_json());
     out.push_str("  \"topology\": \"hypercube-8\",\n");
     out.push_str(&format!(
         "  \"grid\": \"{}\",\n",

@@ -155,6 +155,7 @@ fn write_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"routing\",\n");
+    out.push_str(&bsa_bench::env_header_json());
     out.push_str("  \"topology\": \"torus-4x4\",\n");
     out.push_str(&format!("  \"tasks\": {tasks},\n"));
     out.push_str("  \"policies\": [\"shortest_hop\", \"min_transfer_time\"],\n");

@@ -184,7 +184,7 @@ impl ExecutionCostMatrix {
     /// and its Δ adjustment).
     pub fn median_cost(&self, task: TaskId) -> f64 {
         let mut row = self.row(task).to_vec();
-        row.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
+        row.sort_by(f64::total_cmp);
         let mid = row.len() / 2;
         if row.len() % 2 == 1 {
             row[mid]

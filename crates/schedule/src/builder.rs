@@ -61,21 +61,22 @@ pub struct ScheduleBuilder<'a> {
     /// Nesting depth of open transactions (see [`crate::txn`]).
     pub(crate) txn_depth: usize,
     /// Decision-graph nodes whose predecessor set changed since the last re-timing —
-    /// the seeds of the next re-timing pass.  Deduplicated at insertion via the
-    /// generation stamps below (so bulk mutation batches don't bloat the list or the
-    /// per-transaction snapshot clone); may still contain stale hop indices, which the
-    /// incremental pass filters.
+    /// the seeds of the next re-timing pass.  A sparse set: deduplicated at insertion
+    /// via the position stamps below, so bulk mutation batches don't bloat it; may
+    /// still contain stale hop indices, which the incremental pass filters.
     pub(crate) dirty: Vec<DirtyNode>,
-    /// Current dirty-list generation.  A node is in `dirty` iff its stamp below equals
-    /// this; bumping the generation (on re-timing and on rollback) empties the stamp
-    /// set in O(1).
-    pub(crate) dirty_gen: u64,
-    /// Per-task dirty-generation stamp (see [`ScheduleBuilder::dirty_gen`]).
-    pub(crate) task_dirty_stamp: Vec<u64>,
-    /// Per-edge, per-hop dirty-generation stamps.  Inner vectors grow to the longest
-    /// route the edge has ever carried and are never shrunk (stale high indices are
-    /// dead storage, exactly like the scaffold's slot maps).
-    pub(crate) hop_dirty_stamp: Vec<Vec<u64>>,
+    /// Per-task position stamp: a task is in `dirty` iff `dirty[stamp] == task`.
+    /// Emptying or truncating the list needs no stamp writes (a stale stamp points past
+    /// the end or at another node).
+    pub(crate) task_dirty_stamp: Vec<usize>,
+    /// Per-edge, per-hop position stamps, read like `task_dirty_stamp`.  Inner vectors
+    /// grow to the longest route the edge has ever carried and are never shrunk (stale
+    /// high indices are dead storage, exactly like the scaffold's slot maps).
+    pub(crate) hop_dirty_stamp: Vec<Vec<usize>>,
+    /// Dirty lists consumed by re-timing passes inside open transactions, so rollback
+    /// can put them back (see [`UndoOp::ClearDirty`]).  Watermarked like
+    /// `retime_undo_tasks`; cleared when the outermost transaction commits.
+    pub(crate) dirty_saved: Vec<DirtyNode>,
     /// Number of currently placed tasks (maintained by place/unplace and their undos),
     /// so the re-timing pass can decide in O(1) whether to run the flat sweep, which
     /// needs every task placed.
@@ -121,9 +122,9 @@ impl<'a> ScheduleBuilder<'a> {
             undo: Vec::new(),
             txn_depth: 0,
             dirty: Vec::new(),
-            dirty_gen: 1,
             task_dirty_stamp: vec![0; graph.num_tasks()],
             hop_dirty_stamp: vec![Vec::new(); graph.num_edges()],
+            dirty_saved: Vec::new(),
             placed_count: 0,
             scaffold: RetimeScaffold::for_problem(graph.num_tasks(), graph.num_edges()),
             retime_undo_tasks: Vec::new(),

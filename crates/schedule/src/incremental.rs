@@ -349,7 +349,7 @@ fn flat_relax(
         }
     }
 
-    let is_dirty = |t: TaskId| b.task_dirty_stamp[t.index()] == b.dirty_gen;
+    let is_dirty = |t: TaskId| b.is_dirty(DirtyNode::Task(t));
     #[cfg(debug_assertions)]
     for e in graph.edge_ids() {
         let edge = graph.edge(e);

@@ -20,7 +20,17 @@
 //! operation marks the decision-graph nodes whose predecessor set it changed, so the
 //! cone kernel knows exactly which cone to relax and the flat sweep knows which
 //! tasks' messages to check.  Rolling a transaction back restores the dirty list to
-//! its pre-transaction contents.
+//! its pre-transaction contents, entry for entry and in order.
+//!
+//! The list is a sparse set (Briggs & Torczon, "An Efficient Representation for
+//! Sparse Sets", 1993): each node's stamp is its position in the list, and a node is
+//! dirty iff the list holds it at that position.  Between re-timings the list only
+//! grows, so a [`Txn`] records just its length and rollback truncates back to it —
+//! no copy, no stamp writes.  A transaction therefore costs its own operations, not
+//! the pending dirty set; that matters to the callers that speculate thousands of
+//! times between two re-timings (DLS, HEFT-CA, warm re-solves).  A re-timing pass
+//! inside a transaction empties the list; it logs a `ClearDirty` undo op and moves
+//! the consumed entries to a persistent stack, so rollback can put them back.
 
 use crate::builder::ScheduleBuilder;
 use crate::schedule::MessageHop;
@@ -68,6 +78,10 @@ pub(crate) enum UndoOp {
     /// steady state.  LIFO rollback guarantees the suffixes above the watermarks belong
     /// to exactly this pass.
     Retime { tasks_from: usize, hops_from: usize },
+    /// Reverse of a re-timing pass consuming the dirty list: put the consumed entries
+    /// back.  They live on the builder's persistent `dirty_saved` stack above
+    /// `saved_from`, watermarked like [`UndoOp::Retime`].
+    ClearDirty { saved_from: usize },
 }
 
 /// Handle for an open transaction on a [`ScheduleBuilder`].
@@ -75,13 +89,17 @@ pub(crate) enum UndoOp {
 /// Obtained from [`ScheduleBuilder::begin_txn`]; must be passed back to exactly one of
 /// [`ScheduleBuilder::commit`] or [`ScheduleBuilder::rollback`].  Transactions nest
 /// LIFO — the most recently begun transaction must be resolved first.
+///
+/// The handle is three counters and owns no buffer: beginning a transaction is O(1),
+/// and rolling it back costs the operations it logged, however many dirty nodes were
+/// pending when it began.
 #[derive(Debug)]
 #[must_use = "a transaction must be committed or rolled back"]
 pub struct Txn {
     /// Undo-log length when the transaction began; rollback pops down to this.
     watermark: usize,
-    /// Dirty-node list when the transaction began; rollback restores it.
-    dirty_snapshot: Vec<DirtyNode>,
+    /// Dirty-list length when the transaction began; rollback truncates back to it.
+    dirty_len: usize,
     /// Nesting depth of this transaction (1 = outermost), for LIFO enforcement.
     depth: usize,
 }
@@ -94,7 +112,7 @@ impl<'a> ScheduleBuilder<'a> {
         self.txn_depth += 1;
         Txn {
             watermark: self.undo.len(),
-            dirty_snapshot: self.dirty.clone(),
+            dirty_len: self.dirty.len(),
             depth: self.txn_depth,
         }
     }
@@ -116,6 +134,7 @@ impl<'a> ScheduleBuilder<'a> {
             // is kept, so steady-state migrations never reallocate here).
             self.retime_undo_tasks.clear();
             self.retime_undo_hops.clear();
+            self.dirty_saved.clear();
         }
     }
 
@@ -134,15 +153,11 @@ impl<'a> ScheduleBuilder<'a> {
             let op = self.undo.pop().expect("undo log is non-empty");
             self.apply_undo(op);
         }
-        // Restoring the snapshot wholesale invalidates the insertion-dedup stamps:
-        // start a fresh generation and re-stamp the restored entries so future
-        // `mark_dirty` calls keep deduplicating against them.
-        self.dirty = txn.dirty_snapshot;
-        self.dirty_gen += 1;
-        for i in 0..self.dirty.len() {
-            let node = self.dirty[i];
-            self.stamp_dirty(node);
-        }
+        // Undoing the transaction's `ClearDirty` ops left the list it began with as a
+        // prefix; everything above was marked since.  The dropped entries' stamps now
+        // point past the end, or at other nodes once the list regrows.
+        debug_assert!(self.dirty.len() >= txn.dirty_len);
+        self.dirty.truncate(txn.dirty_len);
         self.txn_depth -= 1;
     }
 
@@ -174,47 +189,59 @@ impl<'a> ScheduleBuilder<'a> {
     }
 
     /// Marks a decision-graph node as needing re-timing.  Deduplicated in O(1) via the
-    /// generation stamps: a node already in the dirty list this generation is not
-    /// pushed again, so bulk mutation batches (and the dirty-snapshot clone every
-    /// [`ScheduleBuilder::begin_txn`] takes) stay proportional to the number of
-    /// *distinct* dirty nodes, not to the number of mutations.
+    /// position stamps: a node already in the dirty list is not pushed again, so bulk
+    /// mutation batches stay proportional to the number of *distinct* dirty nodes, not
+    /// to the number of mutations.
     pub(crate) fn mark_dirty(&mut self, node: DirtyNode) {
-        if self.stamp_dirty(node) {
-            self.dirty.push(node);
+        if !self.is_dirty(node) {
+            self.push_dirty(node);
         }
     }
 
-    /// Stamps `node` with the current dirty generation; returns whether it was not
-    /// stamped yet (i.e. the caller should add it to the list).  Hop stamp storage is
-    /// grow-only, like the scaffold's slot maps.
-    fn stamp_dirty(&mut self, node: DirtyNode) -> bool {
-        let gen = self.dirty_gen;
+    /// Whether `node` is in the dirty list: its position stamp points at itself.
+    pub(crate) fn is_dirty(&self, node: DirtyNode) -> bool {
         let stamp = match node {
-            DirtyNode::Task(t) => &mut self.task_dirty_stamp[t.index()],
+            DirtyNode::Task(t) => self.task_dirty_stamp[t.index()],
+            DirtyNode::Hop(e, k) => match self.hop_dirty_stamp[e.index()].get(k as usize) {
+                Some(&stamp) => stamp,
+                None => return false,
+            },
+        };
+        self.dirty.get(stamp) == Some(&node)
+    }
+
+    /// Appends `node` to the dirty list and stamps it with its position.  Hop stamp
+    /// storage is grow-only, like the scaffold's slot maps.
+    fn push_dirty(&mut self, node: DirtyNode) {
+        let pos = self.dirty.len();
+        match node {
+            DirtyNode::Task(t) => self.task_dirty_stamp[t.index()] = pos,
             DirtyNode::Hop(e, k) => {
                 let marks = &mut self.hop_dirty_stamp[e.index()];
                 if marks.len() <= k as usize {
                     marks.resize(k as usize + 1, 0);
                 }
-                &mut marks[k as usize]
+                marks[k as usize] = pos;
             }
-        };
-        if *stamp == gen {
-            return false;
         }
-        *stamp = gen;
-        true
+        self.dirty.push(node);
     }
 
-    /// Empties the dirty list (a re-timing pass consumed it).  Bumping the generation
-    /// invalidates every stamp in O(1) — no map to clear.
+    /// Empties the dirty list (a re-timing pass consumed it), with no stamp writes.
+    /// Inside a transaction the consumed entries move to `dirty_saved` and the clear is
+    /// logged, so rollback can put them back.
     pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
-        self.dirty_gen += 1;
+        if self.in_txn() {
+            let saved_from = self.dirty_saved.len();
+            self.dirty_saved.append(&mut self.dirty);
+            self.undo.push(UndoOp::ClearDirty { saved_from });
+        } else {
+            self.dirty.clear();
+        }
     }
 
-    /// Applies one reverse operation.  Bypasses logging and dirty tracking: rollback
-    /// restores the pre-transaction state (including the dirty snapshot) wholesale.
+    /// Applies one reverse operation.  Bypasses logging and dirty marking: rollback
+    /// truncates the dirty list back to its length at [`ScheduleBuilder::begin_txn`].
     fn apply_undo(&mut self, op: UndoOp) {
         match op {
             UndoOp::Place {
@@ -323,12 +350,22 @@ impl<'a> ScheduleBuilder<'a> {
                 self.retime_undo_tasks.truncate(tasks_from);
                 self.retime_undo_hops.truncate(hops_from);
             }
+            UndoOp::ClearDirty { saved_from } => {
+                // Everything in the list was marked after the clear; put back the list
+                // the pass consumed, re-stamping each entry at its old position.
+                self.dirty.clear();
+                for i in saved_from..self.dirty_saved.len() {
+                    self.push_dirty(self.dirty_saved[i]);
+                }
+                self.dirty_saved.truncate(saved_from);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::DirtyNode;
     use crate::builder::ScheduleBuilder;
     use crate::schedule::MessageHop;
     use bsa_network::builders::ring;
@@ -445,6 +482,119 @@ mod tests {
         assert_eq!(b.start_of(TaskId(0)), 0.0);
         assert_eq!(b.start_of(TaskId(1)), 10.0);
         assert_eq!(b.start_of(TaskId(2)), 30.0);
+    }
+
+    /// The chain on P0, re-timed once and then with every task moved, so three dirty
+    /// tasks are pending, listed out of id order: `[T2, T1, T0]`.
+    fn pending_dirt(b: &mut ScheduleBuilder<'_>) -> Vec<DirtyNode> {
+        b.place_task(TaskId(0), ProcId(0), 5.0);
+        b.place_task(TaskId(1), ProcId(0), 20.0);
+        b.place_task(TaskId(2), ProcId(0), 50.0);
+        b.recompute_times_incremental().unwrap();
+        for (t, start) in [(2, 60.0), (1, 25.0), (0, 1.0)] {
+            b.unplace_task(TaskId(t));
+            b.place_task(TaskId(t), ProcId(0), start);
+        }
+        let pending = vec![
+            DirtyNode::Task(TaskId(2)),
+            DirtyNode::Task(TaskId(1)),
+            DirtyNode::Task(TaskId(0)),
+        ];
+        assert_eq!(b.dirty, pending);
+        pending
+    }
+
+    /// Moves T2 to a later slot on P0 (its own dirty mark is the only one).
+    fn bounce_last(b: &mut ScheduleBuilder<'_>, start: f64) {
+        b.unplace_task(TaskId(2));
+        b.place_task(TaskId(2), ProcId(0), start);
+    }
+
+    /// The next incremental pass must match the full relaxation bit for bit.
+    fn assert_next_pass_matches_the_oracle(b: &mut ScheduleBuilder<'_>) {
+        let mut oracle = b.clone();
+        b.recompute_times_incremental().unwrap();
+        oracle.recompute_times().unwrap();
+        assert!(b.same_schedule_state(&oracle));
+    }
+
+    #[test]
+    fn rollback_of_a_retimed_transaction_restores_the_dirty_list_in_order() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        let pending = pending_dirt(&mut b);
+        let reference = b.clone();
+
+        let txn = b.begin_txn();
+        bounce_last(&mut b, 70.0);
+        // A successful pass consumes the list inside the transaction …
+        b.recompute_times_incremental().unwrap();
+        assert!(b.dirty.is_empty());
+        // … and the marks after it land at positions the pending entries held.
+        bounce_last(&mut b, 90.0);
+        b.push_hop(EdgeId(0), hop(0, 0, 1, 200.0, 205.0));
+        b.rollback(txn);
+
+        assert_eq!(b.dirty, pending);
+        assert!(b.dirty_saved.is_empty());
+        assert!(b.same_schedule_state(&reference));
+        assert_next_pass_matches_the_oracle(&mut b);
+    }
+
+    #[test]
+    fn outer_rollback_undoes_an_inner_commit_including_its_retiming() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        let pending = pending_dirt(&mut b);
+        let reference = b.clone();
+
+        let outer = b.begin_txn();
+        b.push_hop(EdgeId(1), hop(0, 0, 1, 100.0, 105.0));
+        let inner = b.begin_txn();
+        b.clear_route(EdgeId(1));
+        bounce_last(&mut b, 70.0);
+        b.recompute_times_incremental().unwrap();
+        bounce_last(&mut b, 90.0);
+        b.commit(inner);
+        b.push_hop(EdgeId(0), hop(0, 0, 1, 300.0, 305.0));
+        b.rollback(outer);
+
+        assert_eq!(b.dirty, pending);
+        assert!(b.dirty_saved.is_empty());
+        assert!(b.same_schedule_state(&reference));
+        assert!(!b.in_txn());
+        assert_next_pass_matches_the_oracle(&mut b);
+    }
+
+    #[test]
+    fn after_rollback_mark_dirty_re_adds_removed_nodes_once_and_keeps_survivors_single() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        let mut expected = pending_dirt(&mut b);
+
+        // Inside the transaction the re-timing pass empties the list, so T0 is pushed
+        // again at position 0 (overwriting its stamp) and the hop is new.
+        let txn = b.begin_txn();
+        b.recompute_times_incremental().unwrap();
+        b.mark_dirty(DirtyNode::Task(TaskId(0)));
+        b.push_hop(EdgeId(0), hop(0, 0, 1, 200.0, 205.0));
+        b.rollback(txn);
+        assert_eq!(b.dirty, expected);
+
+        // Survivors are not duplicated, whatever their stamps went through …
+        for &node in &expected.clone() {
+            b.mark_dirty(node);
+        }
+        assert_eq!(b.dirty, expected);
+        // … and a node the rollback removed comes back exactly once.
+        let hop0 = DirtyNode::Hop(EdgeId(0), 0);
+        b.mark_dirty(hop0);
+        b.mark_dirty(hop0);
+        expected.push(hop0);
+        assert_eq!(b.dirty, expected);
     }
 
     #[test]

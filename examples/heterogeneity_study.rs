@@ -44,7 +44,7 @@ fn main() {
                 .proc_ids()
                 .map(|p| (system.exec_cost(t, p), p))
                 .collect();
-            costs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            costs.sort_by(|a, b| a.0.total_cmp(&b.0));
             if costs.iter().take(4).any(|&(_, p)| p == chosen) {
                 fast_placements += 1;
             }

@@ -5,7 +5,8 @@
 //! run's arenas reach their high-water capacity, `recompute_times_incremental` must not
 //! touch the heap at all.  This test pins that down with a counting global allocator:
 //! after a warm-up storm, every further pass — inside and outside transactions, with
-//! task and hop cones — must report **zero** allocations and zero frees.
+//! task and hop cones — must report **zero** allocations and zero frees.  So must a
+//! speculative transaction opened over a long pending dirty list.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
@@ -117,6 +118,45 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         b.place_task(t, ProcId(p as u32), starts[p]);
         starts[p] = b.finish_of(t);
     }
+
+    // Speculation while the placements above are still waiting for their first
+    // re-timing, the shape of DLS, HEFT-CA and warm re-solves, which price candidates
+    // against a long pending dirty list.  A transaction costs only its own operations:
+    // opening and rolling one back neither copies nor rebuilds that list.
+    let probe = TaskId(30);
+    let speculate = |b: &mut ScheduleBuilder<'_>| {
+        b.speculate(|s| {
+            let p = s.proc_of(probe).unwrap();
+            let start = s.start_of(probe);
+            s.unplace_task(probe);
+            s.place_task(probe, p, start);
+            let ready = s.link_timeline(LinkId(0)).last_finish();
+            s.push_hop(
+                EdgeId(0),
+                MessageHop {
+                    link: LinkId(0),
+                    from: ProcId(0),
+                    to: ProcId(1),
+                    start: ready,
+                    finish: ready + 4.0,
+                },
+            );
+        })
+    };
+    for _ in 0..5 {
+        speculate(&mut b);
+    }
+    let before = heap_events();
+    for _ in 0..10 {
+        speculate(&mut b);
+    }
+    let after = heap_events();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "speculation over a pending dirty list allocated in steady state"
+    );
+
     assert_eq!(
         b.recompute_times_incremental().unwrap().kind,
         RetimeKind::Cone
