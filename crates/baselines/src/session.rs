@@ -71,7 +71,7 @@ pub(crate) fn assemble(
             stop,
             seed: options.seed,
             route_policy: options.route_policy,
-            threads: options.threads,
+            threads: 1,
             warm_start: false,
             delta: None,
         },

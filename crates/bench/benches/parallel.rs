@@ -1,19 +1,13 @@
-//! Parallel-solve benchmark: wall-clock of the two concurrency layers against their
-//! single-threaded baselines, with a determinism cross-check on every cell.
+//! Parallel-solve benchmark: wall-clock of portfolio racing against its sequential
+//! sweep, with a determinism cross-check on every cell.
 //!
-//! Two layers are measured over random layered DAGs on a 16-processor hypercube:
+//! The one parallel layer, **portfolio** — the standard four-entry BSA racing roster
+//! (`bsa::algorithms::standard_portfolio`) under [`RaceStrategy::BestOfAll`], whose
+//! winner is deterministic at any worker count — is measured over random layered DAGs
+//! on a 16-processor hypercube.  `schedules_equal` compares every placement against
+//! the 1-worker sweep of the same cell.
 //!
-//! * **neighbourhood** — one BSA solve with `SolveOptions::with_threads(t)`: candidate
-//!   finish-time estimates are priced concurrently on per-thread builder mirrors while
-//!   the decision/commit stays serial, so the schedule must be *bit-identical* at any
-//!   thread count.  `schedules_equal` compares every placement against the 1-thread
-//!   run of the same cell.
-//! * **portfolio** — the standard four-entry BSA racing roster
-//!   (`bsa::algorithms::standard_portfolio`) under [`RaceStrategy::BestOfAll`], whose
-//!   winner is deterministic at any worker count; `schedules_equal` again compares
-//!   against the 1-worker sweep.
-//!
-//! Speedups are relative to the 1-thread cell of the same (layer, tasks) pair and are
+//! Speedups are relative to the 1-thread cell of the same task count and are
 //! **hardware-dependent**: the JSON header records `host_threads` (what
 //! `std::thread::available_parallelism` reported) and the commit, because a 1-CPU CI
 //! runner legitimately measures speedup ≈ 1.0 where a multicore workstation shows the
@@ -32,14 +26,12 @@
 
 use bsa::prelude::*;
 use bsa_network::builders::TopologyKind;
-use bsa_schedule::Solver;
 use std::time::Instant;
 
-/// Thread counts swept for every (layer, tasks) cell.
+/// Worker counts swept for every task count.
 const THREADS: [usize; 3] = [1, 2, 4];
 
 struct CellResult {
-    layer: &'static str,
     tasks: usize,
     threads: usize,
     reps: usize,
@@ -58,31 +50,17 @@ fn same_schedule(graph: &TaskGraph, a: &Schedule, b: &Schedule) -> bool {
     }) && a.schedule_length() == b.schedule_length()
 }
 
-/// Runs one layer at one thread count, returning (min wall ms over reps, schedule).
-fn run_cell(
-    layer: &'static str,
-    problem: &Problem<'_>,
-    threads: usize,
-    reps: usize,
-) -> (f64, Schedule) {
+/// Races the portfolio on `threads` workers, returning (min wall ms over reps,
+/// schedule).
+fn run_cell(problem: &Problem<'_>, threads: usize, reps: usize) -> (f64, Schedule) {
     let mut best_ms = f64::INFINITY;
     let mut schedule = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let solution = match layer {
-            "neighbourhood" => Bsa::default()
-                .solve(
-                    problem,
-                    &SolveOptions::default().with_threads(threads),
-                    &mut NoProgress,
-                )
-                .expect("bench instances solve cleanly"),
-            "portfolio" => bsa::algorithms::standard_portfolio()
-                .with_threads(threads)
-                .solve_unbounded(problem)
-                .expect("bench instances solve cleanly"),
-            _ => unreachable!("unknown layer"),
-        };
+        let solution = bsa::algorithms::standard_portfolio()
+            .with_threads(threads)
+            .solve_unbounded(problem)
+            .expect("bench instances solve cleanly");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if ms < best_ms {
             best_ms = ms;
@@ -106,10 +84,9 @@ fn write_json(path: &str, quick: bool, results: &[CellResult]) -> std::io::Resul
     out.push_str("  \"cases\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"layer\": \"{}\", \"tasks\": {}, \"threads\": {}, \"reps\": {}, \
+            "    {{\"layer\": \"portfolio\", \"tasks\": {}, \"threads\": {}, \"reps\": {}, \
              \"wall_ms\": {:.3}, \"speedup\": {:.3}, \"schedule_length\": {:.3}, \
              \"schedules_equal\": {}}}{}\n",
-            r.layer,
             r.tasks,
             r.threads,
             r.reps,
@@ -158,48 +135,45 @@ fn main() {
              measured on real hardware.\n"
         );
     }
-    println!("| layer | tasks | threads | wall ms | speedup | equal |");
-    println!("|---|---|---|---|---|---|");
+    println!("| tasks | threads | wall ms | speedup | equal |");
+    println!("|---|---|---|---|---|");
     let mut results = Vec::new();
-    for layer in ["neighbourhood", "portfolio"] {
-        for &tasks in task_sizes {
-            let seed = 0xB5A ^ tasks as u64;
-            let graph = bsa_bench::random_graph(tasks, 1.0, seed);
-            let system = bsa_bench::system(&graph, TopologyKind::Hypercube, 10.0, seed ^ 0x5ca1e);
-            let problem = Problem::new(&graph, &system).expect("bench instances are valid");
-            let mut baseline: Option<(f64, Schedule)> = None;
-            for &threads in &THREADS {
-                let (wall_ms, schedule) = run_cell(layer, &problem, threads, reps);
-                let (base_ms, equal) = match &baseline {
-                    None => (wall_ms, true),
-                    Some((ms, base)) => (*ms, same_schedule(&graph, base, &schedule)),
-                };
-                let r = CellResult {
-                    layer,
-                    tasks,
-                    threads,
-                    reps,
-                    wall_ms,
-                    speedup: base_ms / wall_ms,
-                    schedule_length: schedule.schedule_length(),
-                    schedules_equal: equal,
-                };
-                println!(
-                    "| {} | {} | {} | {:.1} | {:.2}x | {} |",
-                    r.layer, r.tasks, r.threads, r.wall_ms, r.speedup, r.schedules_equal
-                );
-                results.push(r);
-                if baseline.is_none() {
-                    baseline = Some((wall_ms, schedule));
-                }
+    for &tasks in task_sizes {
+        let seed = 0xB5A ^ tasks as u64;
+        let graph = bsa_bench::random_graph(tasks, 1.0, seed);
+        let system = bsa_bench::system(&graph, TopologyKind::Hypercube, 10.0, seed ^ 0x5ca1e);
+        let problem = Problem::new(&graph, &system).expect("bench instances are valid");
+        let mut baseline: Option<(f64, Schedule)> = None;
+        for &threads in &THREADS {
+            let (wall_ms, schedule) = run_cell(&problem, threads, reps);
+            let (base_ms, equal) = match &baseline {
+                None => (wall_ms, true),
+                Some((ms, base)) => (*ms, same_schedule(&graph, base, &schedule)),
+            };
+            let r = CellResult {
+                tasks,
+                threads,
+                reps,
+                wall_ms,
+                speedup: base_ms / wall_ms,
+                schedule_length: schedule.schedule_length(),
+                schedules_equal: equal,
+            };
+            println!(
+                "| {} | {} | {:.1} | {:.2}x | {} |",
+                r.tasks, r.threads, r.wall_ms, r.speedup, r.schedules_equal
+            );
+            results.push(r);
+            if baseline.is_none() {
+                baseline = Some((wall_ms, schedule));
             }
         }
     }
     if let Some(bad) = results.iter().find(|r| !r.schedules_equal) {
         eprintln!(
-            "ERROR: {} layer diverged from its 1-thread baseline at {} tasks / {} threads — \
-             parallel solves must be bit-identical",
-            bad.layer, bad.tasks, bad.threads
+            "ERROR: the portfolio diverged from its 1-thread baseline at {} tasks / {} \
+             threads — parallel solves must be bit-identical",
+            bad.tasks, bad.threads
         );
         std::process::exit(1);
     }
@@ -210,9 +184,9 @@ fn main() {
     if host_threads > 1 {
         if let Some(bad) = results.iter().find(|r| r.threads > 1 && r.speedup < 0.5) {
             eprintln!(
-                "ERROR: {} layer at {} tasks / {} threads ran at {:.2}x its 1-thread \
+                "ERROR: the portfolio at {} tasks / {} threads ran at {:.2}x its 1-thread \
                  baseline on a {host_threads}-thread host — parallel path regressed",
-                bad.layer, bad.tasks, bad.threads, bad.speedup
+                bad.tasks, bad.threads, bad.speedup
             );
             std::process::exit(1);
         }

@@ -25,7 +25,7 @@
 use bsa_core::{Bsa, BsaConfig};
 use bsa_network::builders::TopologyKind;
 use bsa_network::HeterogeneousSystem;
-use bsa_schedule::Schedule;
+use bsa_schedule::{Problem, Schedule, SolveTrace, Solver};
 use bsa_taskgraph::TaskGraph;
 use std::time::Instant;
 
@@ -106,17 +106,17 @@ fn run_once(
     cfg: BsaConfig,
     graph: &TaskGraph,
     system: &HeterogeneousSystem,
-) -> (f64, Schedule, bsa_core::BsaTrace) {
+) -> (f64, Schedule, SolveTrace) {
     let scheduler = Bsa::new(BsaConfig {
         record_trace: true,
         ..cfg
     });
     let t0 = Instant::now();
-    let (schedule, trace) = scheduler
-        .schedule_with_trace(graph, system)
+    let solution = Problem::new(graph, system)
+        .and_then(|problem| scheduler.solve_unbounded(&problem))
         .expect("bench instances schedule cleanly");
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (elapsed_ms, schedule, trace)
+    (elapsed_ms, solution.schedule, solution.trace)
 }
 
 /// Exact equality of two schedules: every task's processor, start, and finish.

@@ -35,18 +35,16 @@
 //! which produces bit-identical times at a much higher cost per migration.
 
 use crate::config::{BsaConfig, RetimingMode};
-use crate::parallel::Crew;
 use crate::pivot::select_pivot;
 use crate::serialization::serialize;
-use crate::trace::{BsaTrace, MigrationRecord, RetimeTotals};
 use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
 use bsa_schedule::router::{commit_route, route_message};
 use bsa_schedule::schedule::MessageHop;
 use bsa_schedule::solver::{
-    BudgetMeter, IncumbentRecord, NoProgress, Problem, Progress, Provenance, Solution, SolveError,
-    SolveEvent, SolveOptions, SolveTrace, Solver, StopReason, ThreadStats,
+    BudgetMeter, IncumbentRecord, MigrationRecord, Problem, Progress, Provenance, RetimeTotals,
+    Solution, SolveError, SolveEvent, SolveOptions, SolveTrace, Solver, StopReason, ThreadStats,
 };
-use bsa_schedule::{Schedule, ScheduleBuilder, ScheduleError, ScheduleMetrics};
+use bsa_schedule::{Schedule, ScheduleBuilder, ScheduleMetrics};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
 const EPS: f64 = 1e-9;
@@ -63,9 +61,6 @@ struct MigrateScratch {
     tasks: Vec<TaskId>,
     /// Finish time of every task at phase start (see `compare_against_phase_start`).
     phase_ft: Vec<f64>,
-    /// Finish-time estimate per neighbour index of the current candidate task,
-    /// filled serially or by the evaluation crew before the (always serial) decision.
-    cand_ft: Vec<f64>,
 }
 
 /// The BSA scheduler.  Construct with [`Bsa::new`] or use [`Bsa::default`] for the paper's
@@ -86,23 +81,7 @@ impl Bsa {
         &self.config
     }
 
-    /// Runs the algorithm and returns both the schedule and the decision trace.
-    ///
-    /// Legacy blocking entry point: equivalent to an unbudgeted [`Solver::solve`] with
-    /// no observer, returning the trace in its BSA-shaped [`BsaTrace`] form.
-    pub fn schedule_with_trace(
-        &self,
-        graph: &TaskGraph,
-        system: &HeterogeneousSystem,
-    ) -> Result<(Schedule, BsaTrace), ScheduleError> {
-        let problem = Problem::new(graph, system).map_err(ScheduleError::from)?;
-        let (schedule, trace) = self
-            .run(&problem, &SolveOptions::default(), &mut NoProgress)
-            .map_err(ScheduleError::from)?;
-        Ok((schedule, trace.into()))
-    }
-
-    /// The migration engine behind both [`Solver::solve`] and the legacy entry points.
+    /// The migration engine behind [`Solver::solve`].
     ///
     /// Serializes onto the first pivot, then bubbles tasks up under the budgets of
     /// `options`: between steps the [`BudgetMeter`] is polled and `progress` observes
@@ -117,7 +96,6 @@ impl Bsa {
         options: &SolveOptions,
         progress: &mut dyn Progress,
     ) -> Result<(Schedule, SolveTrace), SolveError> {
-        options.validate()?;
         let graph = problem.graph();
         let system = problem.system();
         let cfg = &self.config;
@@ -178,54 +156,23 @@ impl Bsa {
         let mut incumbent = serialized_length;
 
         let mut scratch = MigrateScratch::default();
-        let mut thread0 = ThreadStats::default();
-        let mut worker_stats: Vec<ThreadStats> = Vec::new();
+        let mut pricing = ThreadStats::default();
         if stop == StopReason::Converged {
-            let workers = options.threads - 1;
-            if workers == 0 {
-                stop = self.migration_phase(
-                    &mut builder,
-                    graph,
-                    system,
-                    comm,
-                    &processor_order,
-                    &mut meter,
-                    progress,
-                    &mut trace,
-                    &mut incumbent,
-                    &mut scratch,
-                    None,
-                    &mut thread0,
-                );
-            } else {
-                // The mirrors are cloned once from the committed post-serialization
-                // state; the crew keeps them byte-identical by replaying every
-                // commit, so estimates computed on them equal the serial path's and
-                // the schedule is bit-identical at any thread count (DESIGN.md §12).
-                (stop, worker_stats) = std::thread::scope(|scope| {
-                    let mirrors: Vec<ScheduleBuilder<'_>> =
-                        (0..workers).map(|_| builder.clone()).collect();
-                    let mut crew = Crew::spawn(scope, mirrors, graph, cfg, comm);
-                    let stop = self.migration_phase(
-                        &mut builder,
-                        graph,
-                        system,
-                        comm,
-                        &processor_order,
-                        &mut meter,
-                        progress,
-                        &mut trace,
-                        &mut incumbent,
-                        &mut scratch,
-                        Some(&mut crew),
-                        &mut thread0,
-                    );
-                    (stop, crew.finish())
-                });
-            }
+            stop = self.migration_phase(
+                &mut builder,
+                graph,
+                system,
+                comm,
+                &processor_order,
+                &mut meter,
+                progress,
+                &mut trace,
+                &mut incumbent,
+                &mut scratch,
+                &mut pricing,
+            );
         }
-        trace.thread_stats.push(thread0);
-        trace.thread_stats.extend(worker_stats);
+        trace.thread_stats.push(pricing);
 
         trace.stop = stop;
         trace.final_length = builder.schedule_length();
@@ -233,14 +180,8 @@ impl Bsa {
         Ok((schedule, trace))
     }
 
-    /// The bubble-up migration loop (paper lines 5–21), extracted from [`Bsa::run`]
-    /// so the parallel path can wrap it in a [`std::thread::scope`].
-    ///
-    /// With a `crew`, candidate finish times are priced concurrently on the crew's
-    /// mirror builders; *decisions and commits stay on this thread*, in the exact
-    /// order of the serial loop, and every commit is broadcast to the mirrors.
-    /// Without a crew the candidates are priced inline on `builder` — the original
-    /// single-threaded path, byte for byte.
+    /// The bubble-up migration loop (paper lines 5–21): returns why it stopped and
+    /// counts every priced candidate in `pricing`.
     #[allow(clippy::too_many_arguments)]
     fn migration_phase(
         &self,
@@ -254,8 +195,7 @@ impl Bsa {
         trace: &mut SolveTrace,
         incumbent: &mut f64,
         scratch: &mut MigrateScratch,
-        mut crew: Option<&mut Crew>,
-        thread0: &mut ThreadStats,
+        pricing: &mut ThreadStats,
     ) -> StopReason {
         let cfg = &self.config;
         let mut stop = StopReason::Converged;
@@ -304,47 +244,21 @@ impl Bsa {
                         continue;
                     }
 
-                    // Price every neighbour of the pivot: one finish-time estimate per
-                    // neighbour index, serially or fanned out across the crew.
-                    let neighbors = system.topology.neighbors(pivot);
-                    match crew.as_deref_mut() {
-                        Some(c) => c.evaluate(
+                    // Price every neighbour of the pivot, in neighbour order.
+                    let mut best: Option<(ProcId, f64)> = None;
+                    let mut vip_equal: Option<(ProcId, f64)> = None;
+                    for &(py, _link) in system.topology.neighbors(pivot) {
+                        let ft_y = estimate_finish_on_neighbor(
                             builder,
                             graph,
                             t,
                             pivot,
+                            py,
                             cfg,
                             comm,
                             &mut scratch.remote,
-                            neighbors.len(),
-                            &mut scratch.cand_ft,
-                            thread0,
-                        ),
-                        None => {
-                            scratch.cand_ft.clear();
-                            for &(py, _link) in neighbors {
-                                let ft = estimate_finish_on_neighbor(
-                                    builder,
-                                    graph,
-                                    t,
-                                    pivot,
-                                    py,
-                                    cfg,
-                                    comm,
-                                    &mut scratch.remote,
-                                );
-                                thread0.evals += 1;
-                                scratch.cand_ft.push(ft);
-                            }
-                        }
-                    }
-
-                    // The decision over the estimates is always serial, in neighbour
-                    // order — identical at any thread count.
-                    let mut best: Option<(ProcId, f64)> = None;
-                    let mut vip_equal: Option<(ProcId, f64)> = None;
-                    for (i, &(py, _link)) in neighbors.iter().enumerate() {
-                        let ft_y = scratch.cand_ft[i];
+                        );
+                        pricing.evals += 1;
                         if ft_y < ft_pivot - EPS {
                             let better = best.map_or(true, |(bp, bf)| {
                                 ft_y < bf - EPS || ((ft_y - bf).abs() <= EPS && py < bp)
@@ -372,10 +286,7 @@ impl Bsa {
 
                     // Perform the migration transactionally; if the incremental re-routing
                     // produces ordering decisions that cannot be timed consistently (rare —
-                    // see DESIGN.md §5.2), roll back and keep the task where it was.  A
-                    // rolled-back attempt is never broadcast to the crew: the kernel's
-                    // byte-exact rollback leaves this builder in the state the mirrors
-                    // already hold.
+                    // see DESIGN.md §5.2), roll back and keep the task where it was.
                     let txn = builder.begin_txn();
                     migrate(
                         builder,
@@ -402,12 +313,8 @@ impl Bsa {
                         Ok(stats) => stats,
                     };
                     builder.commit(txn);
-                    if let Some(c) = crew.as_deref_mut() {
-                        c.replay(t, pivot, py);
-                    }
                     if let Some(stats) = stats {
                         trace.retime.absorb(&stats);
-                        thread0.retime.absorb(&stats);
                     }
                     sweep_migrations += 1;
                     meter.record_migration();
@@ -485,7 +392,7 @@ impl Solver for Bsa {
                 stop: trace.stop,
                 seed: options.seed,
                 route_policy: options.route_policy,
-                threads: options.threads,
+                threads: 1,
                 warm_start: false,
                 delta: None,
             },
@@ -506,7 +413,7 @@ impl Solver for Bsa {
 /// when several messages competed for the joining link).  Outgoing messages are skipped:
 /// they do not influence `t`'s own finish time.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn estimate_finish_on_neighbor(
+fn estimate_finish_on_neighbor(
     builder: &mut ScheduleBuilder<'_>,
     graph: &TaskGraph,
     t: TaskId,
@@ -535,7 +442,7 @@ pub(crate) fn estimate_finish_on_neighbor(
 ///
 /// [`Txn`]: bsa_schedule::Txn
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn migrate(
+fn migrate(
     builder: &mut ScheduleBuilder<'_>,
     graph: &TaskGraph,
     t: TaskId,
@@ -776,19 +683,22 @@ mod tests {
     #[test]
     fn paper_example_selects_p2_and_beats_serialization() {
         let (g, sys) = paper_setup();
-        let bsa = Bsa::new(BsaConfig::traced());
-        let (schedule, trace) = bsa.schedule_with_trace(&g, &sys).unwrap();
+        let Solution {
+            schedule, trace, ..
+        } = Bsa::new(BsaConfig::traced())
+            .solve_unbounded(&Problem::new(&g, &sys).unwrap())
+            .unwrap();
         assert_valid(&schedule, &g, &sys);
         // First pivot is P2 (zero-based ProcId(1)).
         assert_eq!(trace.first_pivot, Some(ProcId(1)));
         // Serialization length = sum of all execution costs on P2 = 238.
-        assert_eq!(trace.serialized_length, 238.0);
+        assert_eq!(trace.serialized_length, Some(238.0));
         // Serial order matches the serialization module (and, up to the documented T6/T7
         // swap, the paper).
         assert_eq!(trace.serial_order.len(), 9);
         // The bubble-up phase must improve substantially; the paper reaches 138.
         assert!(
-            schedule.schedule_length() < trace.serialized_length,
+            schedule.schedule_length() < 238.0,
             "BSA must improve on the serialized schedule"
         );
         assert!(
@@ -930,11 +840,13 @@ mod tests {
             HeterogeneityRange::homogeneous(),
             &mut rng,
         );
-        let (s, trace) = Bsa::new(BsaConfig::traced())
-            .schedule_with_trace(&g, &sys)
+        let Solution {
+            schedule: s, trace, ..
+        } = Bsa::new(BsaConfig::traced())
+            .solve_unbounded(&Problem::new(&g, &sys).unwrap())
             .unwrap();
         assert_valid(&s, &g, &sys);
-        assert!(s.schedule_length() <= trace.serialized_length);
+        assert!(s.schedule_length() <= trace.serialized_length.unwrap());
         assert!(trace.processor_order.len() == 16);
     }
 }

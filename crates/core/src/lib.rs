@@ -43,20 +43,16 @@
 
 pub mod bsa;
 pub mod config;
-pub(crate) mod parallel;
 pub mod pivot;
 pub mod serialization;
-pub mod trace;
 
 pub use bsa::Bsa;
 pub use config::{BsaConfig, PivotStrategy, RetimingMode};
 pub use pivot::{cp_length_on, select_pivot};
 pub use serialization::{serialize, TaskClass};
-pub use trace::{BsaTrace, MigrationRecord, RetimeTotals};
 
 /// Convenient glob-import.
 pub mod prelude {
     pub use crate::bsa::Bsa;
     pub use crate::config::{BsaConfig, PivotStrategy, RetimingMode};
-    pub use crate::trace::BsaTrace;
 }

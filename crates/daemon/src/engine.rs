@@ -483,7 +483,6 @@ impl Engine {
         mut options: SolveOptions,
         algo: AlgoChoice,
     ) -> Result<SubmitInfo, Rejection> {
-        options.validate().map_err(Rejection::Invalid)?;
         self.precheck(client)?;
 
         let key = ProblemInstance::fingerprint_of(&graph, &system);
@@ -546,7 +545,6 @@ impl Engine {
         delta: ProblemDelta,
         mut options: SolveOptions,
     ) -> Result<SubmitInfo, Rejection> {
-        options.validate().map_err(Rejection::Invalid)?;
         self.precheck(client)?;
         let base = self.find_session(base_session)?;
         let outcome = {

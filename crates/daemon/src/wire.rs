@@ -720,7 +720,8 @@ pub fn decode_problem(v: &Value) -> Result<(TaskGraph, HeterogeneousSystem), Wir
 // ---------------------------------------------------------------------------------
 
 /// Decodes per-solve options.  All fields optional; cancellation and the routing
-/// artifact are attached by the engine, never by the client.
+/// artifact are attached by the engine, never by the client.  Unknown keys are
+/// ignored, among them the `threads` key older clients still send.
 pub fn decode_options(v: &Value) -> Result<SolveOptions, WireError> {
     let mut options = SolveOptions::default();
     if let Some(ms) = v.get("deadline_ms") {
@@ -750,14 +751,6 @@ pub fn decode_options(v: &Value) -> Result<SolveOptions, WireError> {
                 p.as_str()
                     .ok_or_else(|| bad("route_policy must be a string"))?,
             )?;
-        }
-    }
-    if let Some(t) = v.get("threads") {
-        if !t.is_null() {
-            options.threads = t
-                .as_u64()
-                .ok_or_else(|| bad("threads must be a positive integer"))?
-                as usize;
         }
     }
     Ok(options)
@@ -880,7 +873,6 @@ mod tests {
     fn options_decode_defaults_and_overrides() {
         let d = decode_options(&parse("{}").unwrap()).unwrap();
         assert!(d.deadline.is_none() && d.max_migrations.is_none());
-        assert_eq!(d.threads, 1);
 
         let v = parse(
             r#"{"deadline_ms":250,"max_migrations":7,"seed":42,
@@ -892,7 +884,12 @@ mod tests {
         assert_eq!(o.max_migrations, Some(7));
         assert_eq!(o.seed, Some(42));
         assert_eq!(o.route_policy, RoutePolicy::MinTransferTime);
-        assert_eq!(o.threads, 2);
+        // `threads` (a legacy key) is ignored, not rejected, so old clients still
+        // decode — whatever its value.
+        for legacy in [r#"{"threads":2}"#, r#"{"threads":"many"}"#] {
+            let o = decode_options(&parse(legacy).unwrap()).unwrap();
+            assert!(o.is_unlimited() && o.route_policy == RoutePolicy::default());
+        }
 
         assert!(decode_options(&parse(r#"{"route_policy":"warp"}"#).unwrap()).is_err());
     }

@@ -13,7 +13,7 @@ use bsa_experiments::write_results_file;
 use bsa_network::builders::ring;
 use bsa_network::{CommCostModel, ExecutionCostMatrix, HeterogeneousSystem};
 use bsa_schedule::gantt::{render, GanttOptions};
-use bsa_schedule::{validate, Problem, ScheduleMetrics, Solver};
+use bsa_schedule::{validate, Problem, ScheduleMetrics, Solution, Solver};
 use bsa_workloads::paper_example;
 
 fn main() {
@@ -27,8 +27,12 @@ fn main() {
     println!("Paper reference points: first pivot = P2, serial order T1 T2 T7 T4 T3 T8 T6 T9 T5 (nominal),");
     println!("serialized length on P2 = 238, intermediate SL = 147, final SL = 138.\n");
 
-    let bsa = Bsa::new(BsaConfig::traced());
-    let (schedule, trace) = bsa.schedule_with_trace(&graph, &system).unwrap();
+    let problem = Problem::new(&graph, &system).unwrap();
+    let Solution {
+        schedule, trace, ..
+    } = Bsa::new(BsaConfig::traced())
+        .solve_unbounded(&problem)
+        .unwrap();
     let errors = validate::validate(&schedule, &graph, &system);
     assert!(errors.is_empty(), "BSA schedule must be valid: {errors:?}");
 
@@ -49,10 +53,7 @@ fn main() {
         metrics.schedule_length, metrics.total_communication_cost
     );
 
-    let dls_schedule = Dls::new()
-        .solve_unbounded(&Problem::new(&graph, &system).unwrap())
-        .unwrap()
-        .schedule;
+    let dls_schedule = Dls::new().solve_unbounded(&problem).unwrap().schedule;
     let dls_errors = validate::validate(&dls_schedule, &graph, &system);
     assert!(
         dls_errors.is_empty(),
@@ -79,7 +80,7 @@ fn main() {
         "\nBSA schedule length: {:.1}\nDLS schedule length: {:.1}\nserialized length: {:.1}\n",
         schedule.schedule_length(),
         dls_schedule.schedule_length(),
-        trace.serialized_length
+        trace.serialized_length.unwrap_or(0.0)
     ));
     if let Some(path) = write_results_file("table1_example.txt", &report) {
         println!("wrote {}", path.display());

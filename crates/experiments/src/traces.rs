@@ -29,10 +29,8 @@ pub struct TraceEntry {
 
 /// Runs the deterministic trace suite: the worked example unbudgeted, the worked
 /// example under a 2-migration budget (exercising the anytime stop path), a 60-task
-/// random DAG on an 8-processor hypercube — single-threaded, then with 4-way
-/// concurrent neighbourhood evaluation (bit-identical schedule, per-thread phase
-/// counters in `thread_stats`) — and the standard portfolio racing the same DAG
-/// (deterministic winner under `BestOfAll`).
+/// random DAG on an 8-processor hypercube, and the standard portfolio racing the same
+/// DAG (deterministic winner under `BestOfAll`).
 pub fn trace_suite() -> Vec<TraceEntry> {
     let bsa = Bsa::new(BsaConfig::traced());
 
@@ -68,18 +66,6 @@ pub fn trace_suite() -> Vec<TraceEntry> {
     let random = bsa
         .solve_unbounded(&random_problem)
         .expect("the random instance solves");
-    let random_parallel = bsa
-        .solve(
-            &random_problem,
-            &SolveOptions::default().with_threads(4),
-            &mut NoProgress,
-        )
-        .expect("the 4-thread random instance solves");
-    assert_eq!(
-        random_parallel.schedule.schedule_length(),
-        random.schedule.schedule_length(),
-        "concurrent neighbourhood evaluation must not change the schedule"
-    );
     let portfolio = bsa::algorithms::standard_portfolio()
         .solve_unbounded(&random_problem)
         .expect("the portfolio race solves");
@@ -96,10 +82,6 @@ pub fn trace_suite() -> Vec<TraceEntry> {
         TraceEntry {
             label: "random_60_hypercube8_unbounded",
             trace: random.trace,
-        },
-        TraceEntry {
-            label: "random_60_hypercube8_threads4",
-            trace: random_parallel.trace,
         },
         TraceEntry {
             label: "portfolio_best_of_all_random_60",
@@ -142,25 +124,22 @@ mod tests {
     #[test]
     fn suite_covers_budgeted_and_unbudgeted_solves_and_serializes() {
         let entries = trace_suite();
-        assert_eq!(entries.len(), 5);
+        assert_eq!(entries.len(), 4);
         assert_eq!(entries[0].trace.stop, StopReason::Converged);
         assert_eq!(entries[1].trace.stop, StopReason::MigrationBudgetExhausted);
         assert_eq!(entries[1].trace.num_migrations(), 2);
         assert_eq!(entries[0].trace.serialized_length, Some(238.0));
-        // The 4-thread entry records one phase-counter row per thread; the
-        // single-threaded entries record exactly one.
+        // Every BSA solve records its candidate evaluations in one row.
         assert_eq!(entries[2].trace.thread_stats.len(), 1);
-        assert_eq!(entries[3].trace.thread_stats.len(), 4);
-        assert_eq!(entries[3].trace.final_length, entries[2].trace.final_length);
+        assert!(entries[2].trace.thread_stats[0].evals > 0);
 
         let json = bundle_json(&entries);
         assert!(json.contains("\"bench\": \"solver_traces\""));
         assert!(json.contains("\"paper_example_budget_2_migrations\""));
-        assert!(json.contains("\"random_60_hypercube8_threads4\""));
         assert!(json.contains("\"portfolio_best_of_all_random_60\""));
         assert!(json.contains("\"stop\": \"migration_budget_exhausted\""));
         assert!(json.contains("\"solver\": \"BSA\""));
-        assert!(json.contains("\"thread_stats\": [{"));
+        assert!(json.contains("\"thread_stats\": [{\"evals\": "));
         // Both the budgeted and converged traces record incumbent improvements.
         assert!(json.contains("\"incumbents\": [{"));
     }

@@ -25,9 +25,9 @@ use crate::incremental::{recompute_from, RetimeStats};
 use crate::recompute::{recompute, RecomputeError};
 use crate::scaffold::RetimeScaffold;
 use crate::schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
+use crate::solver::SolveError;
 use crate::timeline::Timeline;
 use crate::txn::{DirtyNode, UndoOp};
-use crate::ScheduleError;
 use bsa_network::{HeterogeneousSystem, LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
@@ -97,13 +97,10 @@ pub struct ScheduleBuilder<'a> {
 
 impl<'a> ScheduleBuilder<'a> {
     /// Creates an empty builder for `graph` on `system`.
-    pub fn new(
-        graph: &'a TaskGraph,
-        system: &'a HeterogeneousSystem,
-    ) -> Result<Self, ScheduleError> {
+    pub fn new(graph: &'a TaskGraph, system: &'a HeterogeneousSystem) -> Result<Self, SolveError> {
         system
             .validate_for(graph)
-            .map_err(ScheduleError::Mismatch)?;
+            .map_err(|detail| SolveError::Mismatch { detail })?;
         Ok(Self::new_prevalidated(graph, system))
     }
 
@@ -515,26 +512,13 @@ impl<'a> ScheduleBuilder<'a> {
             && self.link_timelines == other.link_timelines
     }
 
-    /// Finalizes the builder into an immutable [`Schedule`].
-    ///
-    /// Fails if some task is unplaced or some inter-processor edge lacks a route.
-    /// Legacy stringly-typed twin of [`ScheduleBuilder::finish`].
-    pub fn build(self, algorithm: impl Into<String>) -> Result<Schedule, ScheduleError> {
-        self.finish(algorithm).map_err(ScheduleError::from)
-    }
-
-    /// Finalizes the builder into an immutable [`Schedule`], reporting failures as
-    /// typed [`SolveError`](crate::solver::SolveError) variants
-    /// ([`UnplacedTask`](crate::solver::SolveError::UnplacedTask),
-    /// [`MissingRoute`](crate::solver::SolveError::MissingRoute)).
-    pub fn finish(
-        self,
-        algorithm: impl Into<String>,
-    ) -> Result<Schedule, crate::solver::SolveError> {
+    /// Finalizes the builder into an immutable [`Schedule`], reporting an unplaced
+    /// task or a routeless inter-processor edge as [`SolveError::UnplacedTask`] or
+    /// [`SolveError::MissingRoute`].
+    pub fn finish(self, algorithm: impl Into<String>) -> Result<Schedule, SolveError> {
         let mut placements = Vec::with_capacity(self.graph.num_tasks());
         for t in self.graph.task_ids() {
-            let proc = self.assignment[t.index()]
-                .ok_or(crate::solver::SolveError::UnplacedTask { task: t })?;
+            let proc = self.assignment[t.index()].ok_or(SolveError::UnplacedTask { task: t })?;
             placements.push(TaskPlacement {
                 task: t,
                 proc,
@@ -549,7 +533,7 @@ impl<'a> ScheduleBuilder<'a> {
             let dst_p = placements[edge.dst.index()].proc;
             let hops = &self.routes[e.index()];
             if src_p != dst_p && hops.is_empty() {
-                return Err(crate::solver::SolveError::MissingRoute { edge: e });
+                return Err(SolveError::MissingRoute { edge: e });
             }
             routes.push(MessageRoute {
                 edge: e,
@@ -705,19 +689,19 @@ mod tests {
         let g = chain_graph();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
         let b = ScheduleBuilder::new(&g, &sys).unwrap();
-        assert!(matches!(
-            b.clone().build("x"),
-            Err(ScheduleError::Internal(_))
-        ));
+        assert_eq!(
+            b.finish("x").err(),
+            Some(SolveError::UnplacedTask { task: TaskId(0) })
+        );
         let mut b2 = ScheduleBuilder::new(&g, &sys).unwrap();
         b2.place_task(TaskId(0), ProcId(0), 0.0);
         b2.place_task(TaskId(1), ProcId(1), 20.0);
         b2.place_task(TaskId(2), ProcId(1), 40.0);
         // Edge 0 crosses P0 -> P1 without a route: must fail.
-        assert!(matches!(
-            b2.clone().build("x"),
-            Err(ScheduleError::Internal(_))
-        ));
+        assert_eq!(
+            b2.clone().finish("x").err(),
+            Some(SolveError::MissingRoute { edge: EdgeId(0) })
+        );
         b2.set_route(
             EdgeId(0),
             vec![MessageHop {
@@ -728,7 +712,7 @@ mod tests {
                 finish: 15.0,
             }],
         );
-        let s = b2.build("x").unwrap();
+        let s = b2.finish("x").unwrap();
         assert_eq!(s.schedule_length(), 70.0);
     }
 

@@ -8,8 +8,8 @@
 //!
 //! * **The flat sweep** (`flat_relax`) relaxes the whole *reduced* decision graph.  It
 //!   runs on every pass over a fully placed schedule with at least [`FALLBACK_FLOOR`]
-//!   decision nodes: every pass of BSA's migration loop, of the neighbourhood crew's
-//!   mirrors, and of `Solution::resolve_onto`.
+//!   decision nodes: every pass of BSA's migration loop and of
+//!   `Solution::resolve_onto`.
 //! * **The cone kernel** relaxes only the successor closure of the dirty seeds.  It runs
 //!   on every other pass: partial placements made through the public API, and tiny
 //!   graphs.

@@ -37,16 +37,17 @@
 //!
 //! Algorithms are exposed through the **solver-session API** of [`solver`]: a
 //! [`Problem`] (graph + system, validated once) is handed to a [`Solver`] together with
-//! [`SolveOptions`] (deadline, migration budget, cancellation, worker threads) and a
+//! [`SolveOptions`] (deadline, migration budget, cancellation, route policy) and a
 //! streaming [`solver::Progress`] observer, and comes back as a [`Solution`] (schedule +
-//! metrics + [`SolveTrace`] + provenance).  The pre-session `Scheduler` trait and its
-//! blanket shim have been retired; sessions are the only solving surface.
+//! metrics + [`SolveTrace`] + provenance), or as a typed [`SolveError`].  Sessions are
+//! the only solving surface.
 //!
 //! Because [`Problem`] is `Send + Sync` (statically asserted in [`solver`]), one
 //! validated instance can be raced by several solver configurations at once:
 //! [`portfolio`] runs N entries on OS threads over the shared problem, publishes the
 //! best incumbent as it lands, and cancels the losers ([`pool`] supplies the scoped
-//! worker pool).
+//! worker pool).  It is the only parallel code path: every other solver runs on the
+//! calling thread.
 //!
 //! Instances that **evolve** — task arrival/completion, link failure/recovery,
 //! processor hot-plug — are mutated through [`delta`] (a [`ProblemDelta`] applied with
@@ -83,31 +84,11 @@ pub use schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
 pub use solver::{
     BudgetMeter, CancelToken, EventLog, IncumbentRecord, MigrationRecord, NoProgress, Problem,
     Progress, Provenance, RetimeTotals, Solution, SolveError, SolveEvent, SolveOptions, SolveTrace,
-    Solver, StopReason, ThreadStats, MAX_THREADS,
+    Solver, StopReason, ThreadStats,
 };
 pub use timeline::Timeline;
 pub use txn::Txn;
 pub use validate::{validate, ValidationError};
-
-/// Errors a scheduler may report.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScheduleError {
-    /// The system's cost matrix does not match the task graph.
-    Mismatch(String),
-    /// The algorithm produced internally inconsistent ordering decisions.
-    Internal(String),
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::Mismatch(m) => write!(f, "graph/system mismatch: {m}"),
-            ScheduleError::Internal(m) => write!(f, "internal scheduling error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
 
 /// Convenient glob-import for downstream crates.
 pub mod prelude {
@@ -122,5 +103,4 @@ pub mod prelude {
         SolveTrace, Solver, StopReason,
     };
     pub use crate::validate::{validate, ValidationError};
-    pub use crate::ScheduleError;
 }

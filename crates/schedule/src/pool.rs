@@ -5,6 +5,8 @@
 //! [`crate::portfolio`] needs, where workers solve and the caller forwards their
 //! streamed events to the observer.  [`IncumbentCell`] is the `parking_lot`-guarded
 //! cell through which racing workers publish the best schedule length seen so far.
+//! Every solver runs on its caller's thread; this pool is the only place a solve
+//! spawns threads.
 //!
 //! `rayon` would provide the fan-out, but the offline dependency set of this
 //! reproduction does not include it and the few lines below are all the portfolio
@@ -20,7 +22,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// Workers claim indices from a shared atomic counter, so a slow job never blocks the
 /// others.  The call returns when `pump` has returned **and** every worker has
-/// finished; a worker panic propagates to the caller once the scope closes.
+/// finished.  A panicking `worker` ends its thread: its job never finishes, the
+/// other threads go on claiming jobs (with one thread, the rest never run), and the
+/// panic resumes in the caller only when the scope closes, after `pump` has returned
+/// — so a `pump` that waits for every job to report hangs.  [`crate::portfolio`]
+/// therefore catches panics inside `worker`.
 ///
 /// With `threads == 1` (or a single job) no thread is spawned for parallelism's sake —
 /// one worker still runs concurrently with `pump`, because `pump` typically blocks on

@@ -18,7 +18,9 @@
 //!   winner is decided ([`RaceStrategy::FirstConverged`]) or the caller's token or
 //!   observer stops the whole race;
 //! * every entry's end is announced with [`SolveEvent::ConfigFinished`] — after the
-//!   winner's, no further per-step events from losing configurations are forwarded.
+//!   winner's, no further per-step events from losing configurations are forwarded;
+//! * an entry whose solver panics finishes as [`SolveError::Internal`], like an entry
+//!   that fails, so the race still returns the best of the others.
 //!
 //! With [`RaceStrategy::BestOfAll`] (the default) the portfolio's *result* is
 //! deterministic at any worker count: every entry runs to its own stop, and the
@@ -30,9 +32,10 @@
 use crate::pool::{fan_out, IncumbentCell};
 use crate::solver::{
     BudgetMeter, CancelToken, Problem, Progress, Provenance, Solution, SolveError, SolveEvent,
-    SolveOptions, Solver, StopReason, MAX_THREADS,
+    SolveOptions, Solver, StopReason,
 };
 use std::ops::ControlFlow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
@@ -49,7 +52,7 @@ pub struct PortfolioEntry {
     /// while the portfolio (holding the roster) is borrowed by all of them.
     pub solver: Box<dyn Solver + Send + Sync>,
     /// Per-entry options: re-timing mode and route policy live in the solver's own
-    /// configuration, while budgets, seed and `threads` live here.  The caller's
+    /// configuration, while budgets and seed live here.  The caller's
     /// outer budgets are merged in at race time (the tighter of the two wins); the
     /// `cancel` slot is replaced by the race's private per-entry token.
     pub options: SolveOptions,
@@ -199,7 +202,6 @@ impl Solver for Portfolio {
         options: &SolveOptions,
         progress: &mut dyn Progress,
     ) -> Result<Solution, SolveError> {
-        options.validate()?;
         if self.entries.is_empty() {
             return Err(SolveError::InvalidOptions {
                 detail: "the portfolio has no entries to race".into(),
@@ -207,7 +209,7 @@ impl Solver for Portfolio {
         }
         let n = self.entries.len();
         let workers = if self.threads == 0 {
-            n.min(MAX_THREADS)
+            n
         } else {
             self.threads.min(n)
         };
@@ -219,9 +221,6 @@ impl Solver for Portfolio {
         let merged: Vec<SolveOptions> = (0..n)
             .map(|i| self.merged_options(i, options, tokens[i].clone()))
             .collect();
-        for m in &merged {
-            m.validate()?;
-        }
 
         let cell = IncumbentCell::new();
         let (tx, rx) = mpsc::channel::<Msg>();
@@ -254,9 +253,22 @@ impl Solver for Portfolio {
                         }
                         ControlFlow::Continue(())
                     };
-                    let result = self.entries[i]
-                        .solver
-                        .solve(problem, &merged[i], &mut forward);
+                    let entry = &self.entries[i];
+                    // A panicking entry must still report `Done`, or the pump below
+                    // would wait for it forever.
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        entry.solver.solve(problem, &merged[i], &mut forward)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        let cause = payload
+                            .downcast_ref::<&str>()
+                            .map(|m| m.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".into());
+                        Err(SolveError::Internal {
+                            detail: format!("portfolio entry {} panicked: {cause}", entry.label),
+                        })
+                    });
                     let _ = tx.send(Msg::Done {
                         config: i,
                         result: Box::new(result),
@@ -440,22 +452,6 @@ mod tests {
         assert_eq!(portfolio.len(), 0);
         assert!(matches!(
             portfolio.solve_unbounded(&p),
-            Err(SolveError::InvalidOptions { .. })
-        ));
-    }
-
-    #[test]
-    fn invalid_outer_options_are_rejected_before_spawning() {
-        let mut b = TaskGraphBuilder::new();
-        b.add_task("a", 1.0);
-        let g = b.build().unwrap();
-        let sys = HeterogeneousSystem::homogeneous(&g, ring(2).unwrap());
-        let p = Problem::new(&g, &sys).unwrap();
-        let portfolio = Portfolio::new();
-        let bad = SolveOptions::default().with_threads(0);
-        let mut sink = crate::solver::NoProgress;
-        assert!(matches!(
-            portfolio.solve(&p, &bad, &mut sink),
             Err(SolveError::InvalidOptions { .. })
         ));
     }

@@ -286,7 +286,7 @@ impl Solution {
             stop,
             seed: options.seed,
             route_policy: options.route_policy,
-            threads: options.threads,
+            threads: 1,
             warm_start: true,
             delta: Some(update.summary().to_string()),
         };

@@ -21,11 +21,11 @@
 //! * [`Progress`] — a streaming observer invoked on serialization, each pivot phase,
 //!   each accepted migration and each incumbent improvement; every callback returns a
 //!   [`ControlFlow`] so the observer itself can stop the solve;
-//! * [`Solution`] — the schedule plus [`ScheduleMetrics`], a unified [`SolveTrace`] and
-//!   [`Provenance`] (who solved, with which configuration, for how long, and *why the
-//!   solve stopped*);
-//! * [`SolveError`] — a typed, `#[non_exhaustive]` error enum replacing the stringly
-//!   `ScheduleError::{Mismatch, Internal}`.
+//! * [`Solution`] — the schedule plus [`ScheduleMetrics`], the [`SolveTrace`] every
+//!   solver fills (rendered for humans by [`SolveTrace::summary`]) and [`Provenance`]
+//!   (who solved, with which configuration, for how long, and *why the solve
+//!   stopped*);
+//! * [`SolveError`] — a typed, `#[non_exhaustive]` error enum.
 //!
 //! Every algorithm implements [`Solver`].  The pre-session `Scheduler` trait and its
 //! blanket shim were retired once the last in-tree caller migrated; the session API is
@@ -33,14 +33,12 @@
 //!
 //! `Problem`, [`CancelToken`] and the underlying network tables are `Send + Sync`
 //! (statically asserted below), so one validated problem can be shared by racing
-//! solver threads — the contract [`crate::portfolio`] and the concurrent
-//! neighbourhood evaluation inside BSA are built on.
+//! solver threads — the contract [`crate::portfolio`] is built on.
 
 use crate::builder::ScheduleBuilder;
 use crate::metrics::ScheduleMetrics;
 use crate::recompute::RecomputeError;
 use crate::schedule::Schedule;
-use crate::ScheduleError;
 use bsa_network::{HeterogeneousSystem, ProcId, RoutePolicy};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
@@ -177,10 +175,9 @@ impl CancelToken {
     }
 }
 
-/// Budgets and knobs of one solve call.  The default is *unlimited* and
-/// single-threaded: no deadline, no iteration budget, no cancellation —
-/// byte-for-byte the legacy blocking behaviour.
-#[derive(Debug, Clone)]
+/// Budgets and knobs of one solve call.  The default is *unlimited*: no deadline, no
+/// iteration budget, no cancellation — byte-for-byte the legacy blocking behaviour.
+#[derive(Debug, Clone, Default)]
 pub struct SolveOptions {
     /// Wall-clock budget, measured from the moment `solve` is entered.  Anytime solvers
     /// (BSA) return their current incumbent when it expires; constructive solvers (DLS,
@@ -204,12 +201,6 @@ pub struct SolveOptions {
     /// The default, [`RoutePolicy::ShortestHop`], reproduces the pre-pluggable
     /// behaviour bit for bit.
     pub route_policy: RoutePolicy,
-    /// Worker threads a solver may use (≥ 1).  `1` (the default) is strictly
-    /// single-threaded.  BSA evaluates candidate-migration finish times concurrently
-    /// on mirror builders but commits only the serial winner, so the schedule is
-    /// **bit-identical at any thread count**; solvers without a parallel phase ignore
-    /// the knob.  Validated by [`SolveOptions::validate`] at solve entry.
-    pub threads: usize,
     /// Pre-built routing table to reuse instead of running the all-pairs BFS/Dijkstra
     /// at solve entry.  `None` (the default) builds a fresh table; `Some` is the
     /// artifact-cache fast path — the table **must** have been built over this
@@ -220,25 +211,6 @@ pub struct SolveOptions {
     /// is identical either way — only the setup cost changes.
     pub routing: Option<Arc<bsa_network::RoutingTable>>,
 }
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            deadline: None,
-            max_migrations: None,
-            cancel: None,
-            seed: None,
-            route_policy: RoutePolicy::default(),
-            threads: 1,
-            routing: None,
-        }
-    }
-}
-
-/// Upper bound on [`SolveOptions::threads`]: far above any sensible worker count, it
-/// exists only to turn typos (`threads: usize::MAX`) into [`SolveError::InvalidOptions`]
-/// instead of a spawn storm.
-pub const MAX_THREADS: usize = 512;
 
 impl SolveOptions {
     /// Alias for [`SolveOptions::default`]: no budget of any kind.
@@ -273,12 +245,6 @@ impl SolveOptions {
     /// Sets the message-routing policy.
     pub fn with_route_policy(mut self, policy: RoutePolicy) -> Self {
         self.route_policy = policy;
-        self
-    }
-
-    /// Sets the worker-thread count (see [`SolveOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -319,26 +285,6 @@ impl SolveOptions {
     /// Whether no budget, deadline or cancellation is configured.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_migrations.is_none() && self.cancel.is_none()
-    }
-
-    /// Checks the options for internal consistency.  Called by every solver at entry;
-    /// today the only rejectable knob is [`threads`](SolveOptions::threads) (zero, or
-    /// beyond [`MAX_THREADS`]).
-    pub fn validate(&self) -> Result<(), SolveError> {
-        if self.threads == 0 {
-            return Err(SolveError::InvalidOptions {
-                detail: "threads must be >= 1 (1 = single-threaded)".into(),
-            });
-        }
-        if self.threads > MAX_THREADS {
-            return Err(SolveError::InvalidOptions {
-                detail: format!(
-                    "threads = {} exceeds MAX_THREADS = {MAX_THREADS}",
-                    self.threads
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -566,8 +512,8 @@ impl Progress for EventLog {
 // Errors
 // ---------------------------------------------------------------------------------
 
-/// Typed solve failure.  Replaces the stringly `ScheduleError::{Mismatch, Internal}`;
-/// marked `#[non_exhaustive]` so variants can be added without a breaking release.
+/// Typed solve failure, marked `#[non_exhaustive]` so variants can be added without a
+/// breaking release.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SolveError {
@@ -608,7 +554,7 @@ pub enum SolveError {
         /// Which phase produced the cyclic decisions.
         context: &'static str,
     },
-    /// The [`SolveOptions`] are internally inconsistent (e.g. `threads == 0`).
+    /// The solver cannot run as configured (e.g. a portfolio with no entries).
     InvalidOptions {
         /// Which knob is invalid and why.
         detail: String,
@@ -664,24 +610,6 @@ impl std::fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
-
-impl From<ScheduleError> for SolveError {
-    fn from(e: ScheduleError) -> Self {
-        match e {
-            ScheduleError::Mismatch(detail) => SolveError::Mismatch { detail },
-            ScheduleError::Internal(detail) => SolveError::Internal { detail },
-        }
-    }
-}
-
-impl From<SolveError> for ScheduleError {
-    fn from(e: SolveError) -> Self {
-        match e {
-            SolveError::Mismatch { detail } => ScheduleError::Mismatch(detail),
-            other => ScheduleError::Internal(other.to_string()),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------------
 // Traces and provenance
@@ -782,23 +710,11 @@ impl RetimeTotals {
     }
 }
 
-/// Work performed by one thread of a parallel solve — the per-thread phase counters
-/// surfaced by BSA's concurrent neighbourhood evaluation.  Thread `0` is the calling
-/// thread (it owns the real builder and performs every commit); threads `1..` are the
-/// evaluation workers, whose re-timing counters come from replaying committed
-/// migrations onto their mirror builders.
+/// BSA's candidate-pricing work, the one entry of [`SolveTrace::thread_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ThreadStats {
-    /// Zero-based thread index (0 = the calling thread).
-    pub thread: usize,
     /// Speculative candidate evaluations (`speculate` + rollback) performed.
     pub evals: u64,
-    /// Committed migrations replayed onto this thread's mirror builder (always 0 for
-    /// thread 0, whose builder is the commit target itself).
-    pub replays: u64,
-    /// Re-timing phase counters accrued on this thread (commit re-timings for thread
-    /// 0, replay re-timings for workers).
-    pub retime: RetimeTotals,
 }
 
 /// One incumbent improvement: after `migrations` accepted migrations the schedule
@@ -811,7 +727,7 @@ pub struct IncumbentRecord {
     pub length: f64,
 }
 
-/// Unified decision trace of one solve — a superset of the old `BsaTrace`.
+/// Decision trace of one solve.
 ///
 /// Constructive solvers fill only the generic fields (`solver`, `final_length`,
 /// `stop`); BSA fills everything.  Detailed per-migration records and incumbent
@@ -839,14 +755,14 @@ pub struct SolveTrace {
     pub serialized_length: Option<f64>,
     /// Final schedule length.
     pub final_length: f64,
-    /// Aggregated re-timing phase counters (incremental kernel diagnostics).  Counts
-    /// **committed** re-timings only, at any thread count, so the totals stay
-    /// comparable across `threads` settings.
+    /// Aggregated re-timing phase counters of the committed migrations (incremental
+    /// kernel diagnostics).
     pub retime: RetimeTotals,
     /// Incumbent improvements in chronological order (when tracing is on).
     pub incumbents: Vec<IncumbentRecord>,
-    /// Per-thread work counters of a parallel solve.  Single-threaded solves record
-    /// one entry (thread 0); solvers without a parallel phase leave it empty.
+    /// BSA records one entry with its candidate evaluations; solvers without a
+    /// migration loop leave it empty.  A list, not a scalar, because trace readers
+    /// (`BENCH_traces.json`, bsabench) index it.
     pub thread_stats: Vec<ThreadStats>,
 }
 
@@ -854,6 +770,67 @@ impl SolveTrace {
     /// Number of accepted migrations recorded in the trace.
     pub fn num_migrations(&self) -> usize {
         self.migrations.len()
+    }
+
+    /// Human-readable multi-line summary: pivot selection, serial order, lengths,
+    /// re-timing counters and every recorded migration.
+    pub fn summary(&self) -> String {
+        let mut s = String::new();
+        s.push_str(&format!(
+            "CP lengths per processor: {:?}\n",
+            self.cp_lengths
+        ));
+        if let Some(p) = self.first_pivot {
+            // 1-based processor names, matching the paper's P1..Pm convention and the
+            // Gantt renderer.
+            s.push_str(&format!("first pivot: P{}\n", p.0 + 1));
+        }
+        s.push_str(&format!(
+            "serial order: {}\n",
+            self.serial_order
+                .iter()
+                .map(|t| format!("T{}", t.0 + 1))
+                .collect::<Vec<_>>()
+                .join(" ")
+        ));
+        if let Some(serialized) = self.serialized_length {
+            s.push_str(&format!("serialized length: {serialized:.2} -> "));
+        }
+        s.push_str(&format!(
+            "final length: {:.2} ({} migrations)\n",
+            self.final_length,
+            self.migrations.len()
+        ));
+        if self.retime.passes > 0 {
+            s.push_str(&format!(
+                "re-timing: {} passes, {} seeds -> {} cone nodes / {} cone edges, \
+                 {} changed (mean cone {:.1})\n",
+                self.retime.passes,
+                self.retime.seed_nodes,
+                self.retime.cone_nodes,
+                self.retime.cone_edges,
+                self.retime.changed_nodes,
+                self.retime.mean_cone()
+            ));
+            s.push_str(&format!(
+                "  kernel mix: {} cone, {} flat\n",
+                self.retime.passes.saturating_sub(self.retime.fallbacks),
+                self.retime.fallbacks
+            ));
+        }
+        for m in &self.migrations {
+            s.push_str(&format!(
+                "  [pivot P{}] T{} : P{} -> P{}  (FT {:.1} -> {:.1}{})\n",
+                m.pivot.0 + 1,
+                m.task.0 + 1,
+                m.from.0 + 1,
+                m.to.0 + 1,
+                m.old_finish,
+                m.new_finish_estimate,
+                if m.vip_rule { ", VIP rule" } else { "" }
+            ));
+        }
+        s
     }
 
     /// Renders the trace as a JSON object.
@@ -931,18 +908,7 @@ impl SolveTrace {
             "\"thread_stats\": [{}], ",
             self.thread_stats
                 .iter()
-                .map(|t| format!(
-                    "{{\"thread\": {}, \"evals\": {}, \"replays\": {}, \"retime_passes\": {}, \
-                     \"retime_cone_nodes\": {}, \"retime_delta_passes\": {}, \
-                     \"retime_delta_evals\": {}}}",
-                    t.thread,
-                    t.evals,
-                    t.replays,
-                    t.retime.passes,
-                    t.retime.cone_nodes,
-                    t.retime.delta_passes,
-                    t.retime.delta_evals
-                ))
+                .map(|t| format!("{{\"evals\": {}}}", t.evals))
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -996,7 +962,8 @@ pub struct Provenance {
     pub seed: Option<u64>,
     /// The message-routing policy from [`SolveOptions::route_policy`].
     pub route_policy: RoutePolicy,
-    /// The worker-thread count from [`SolveOptions::threads`] the solve ran with.
+    /// OS threads the solve ran on: 1 for every single solver, the racing worker count
+    /// for a [`crate::portfolio::Portfolio`].
     pub threads: usize,
     /// Whether the solution was warm-started from a committed schedule
     /// (`Solution::resolve`) rather than solved from scratch.
@@ -1062,20 +1029,16 @@ pub trait Solver {
 // ---------------------------------------------------------------------------------
 
 // The portfolio shares one validated `Problem` across racing OS threads and hands
-// `CancelToken` clones to every worker; BSA's concurrent neighbourhood evaluation
-// sends `ScheduleBuilder` mirrors to evaluation threads.  These compile-time
-// assertions pin the contract: if anyone threads interior mutability (`Rc`,
-// `RefCell`, raw pointers, …) into the problem data, the crate stops compiling here
-// instead of racing at run time.
+// `CancelToken` clones to every worker.  These compile-time assertions pin the
+// contract: if anyone threads interior mutability (`Rc`, `RefCell`, raw pointers, …)
+// into the problem data, the crate stops compiling here instead of racing at run time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    const fn assert_send<T: Send>() {}
     assert_send_sync::<Problem<'static>>();
     assert_send_sync::<CancelToken>();
     assert_send_sync::<bsa_network::RoutingTable>();
     assert_send_sync::<SolveOptions>();
     assert_send_sync::<StopReason>();
-    assert_send::<ScheduleBuilder<'static>>();
 };
 
 #[cfg(test)]
@@ -1174,38 +1137,10 @@ mod tests {
     }
 
     #[test]
-    fn options_validate_rejects_zero_and_absurd_thread_counts() {
-        assert_eq!(SolveOptions::default().threads, 1);
-        assert!(SolveOptions::default().validate().is_ok());
-        assert!(SolveOptions::default()
-            .with_threads(MAX_THREADS)
-            .validate()
-            .is_ok());
-        assert!(matches!(
-            SolveOptions::default().with_threads(0).validate(),
-            Err(SolveError::InvalidOptions { .. })
-        ));
-        let e = SolveOptions::default()
-            .with_threads(MAX_THREADS + 1)
-            .validate()
-            .unwrap_err();
-        assert!(e.to_string().contains("invalid solve options"));
-    }
-
-    #[test]
     fn solve_errors_render_and_convert() {
         let e = SolveError::retiming("test", RecomputeError::CyclicDecisions);
         assert_eq!(e, SolveError::CyclicDecisions { context: "test" });
         assert!(e.to_string().contains("cycle"));
-        let legacy: ScheduleError = e.into();
-        assert!(matches!(legacy, ScheduleError::Internal(_)));
-        let back: SolveError = ScheduleError::Mismatch("shape".into()).into();
-        assert_eq!(
-            back,
-            SolveError::Mismatch {
-                detail: "shape".into()
-            }
-        );
     }
 
     #[test]
@@ -1233,21 +1168,65 @@ mod tests {
                 migrations: 1,
                 length: 80.0,
             }],
-            thread_stats: vec![ThreadStats {
-                thread: 0,
-                evals: 7,
-                replays: 0,
-                retime: RetimeTotals::default(),
-            }],
+            thread_stats: vec![ThreadStats { evals: 7 }],
         };
         let json = trace.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"thread_stats\": [{\"thread\": 0, \"evals\": 7, "));
+        assert!(json.contains("\"thread_stats\": [{\"evals\": 7}], "));
         assert!(json.contains("\"stop\": \"migration_budget_exhausted\""));
         assert!(json.contains("\"first_pivot\": 1"));
         assert!(json.contains("\"incumbents\": [{\"migrations\": 1, \"length\": 80}]"));
         assert!(json.contains("\"vip_rule\": false"));
         assert_eq!(trace.num_migrations(), 1);
+    }
+
+    #[test]
+    fn summary_mentions_all_key_facts() {
+        let trace = SolveTrace {
+            solver: "BSA".into(),
+            cp_lengths: vec![240.0, 226.0],
+            first_pivot: Some(ProcId(1)),
+            serial_order: vec![TaskId(0), TaskId(1)],
+            processor_order: vec![ProcId(1), ProcId(0)],
+            migrations: vec![MigrationRecord {
+                pivot: ProcId(1),
+                task: TaskId(1),
+                from: ProcId(1),
+                to: ProcId(0),
+                old_finish: 50.0,
+                new_finish_estimate: 40.0,
+                vip_rule: false,
+            }],
+            serialized_length: Some(100.0),
+            final_length: 80.0,
+            retime: RetimeTotals {
+                passes: 2,
+                fallbacks: 1,
+                seed_nodes: 2,
+                cone_nodes: 10,
+                cone_edges: 6,
+                changed_nodes: 3,
+                flat_by_seeds: 1,
+                ..RetimeTotals::default()
+            },
+            ..SolveTrace::default()
+        };
+        let s = trace.summary();
+        assert!(s.contains("first pivot: P2"));
+        assert!(s.contains("T1 T2"));
+        assert!(s.contains("T2 : P2 -> P1"));
+        assert!(s.contains("100.00 -> final length: 80.00 (1 migrations)"));
+        assert!(s.contains("re-timing: 2 passes, 2 seeds"));
+        assert!(s.contains("mean cone 5.0"));
+        assert!(s.contains("kernel mix: 1 cone, 1 flat"));
+        // Solvers that do not serialize have no serialized length to report.
+        let constructive = SolveTrace {
+            serialized_length: None,
+            ..trace
+        };
+        assert!(constructive
+            .summary()
+            .contains("\nfinal length: 80.00 (1 migrations)"));
     }
 
     #[test]

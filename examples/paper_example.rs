@@ -38,8 +38,10 @@ fn main() {
         );
     }
 
-    let (schedule, trace) = Bsa::new(BsaConfig::traced())
-        .schedule_with_trace(&graph, &system)
+    let Solution {
+        schedule, trace, ..
+    } = Bsa::new(BsaConfig::traced())
+        .solve_unbounded(&Problem::new(&graph, &system).unwrap())
         .unwrap();
     assert!(validate::validate(&schedule, &graph, &system).is_empty());
     println!("\n{}", trace.summary());
@@ -56,6 +58,6 @@ fn main() {
         "final schedule length {:.1} (paper reports 138 for its own edge labelling); \
          serialized length was {:.1}",
         schedule.schedule_length(),
-        trace.serialized_length
+        trace.serialized_length.unwrap_or(0.0)
     );
 }

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use bsa_schedule::{
         CancelToken, DeltaError, DeltaOp, NoProgress, Portfolio, PortfolioEntry, Problem,
-        ProblemDelta, ProblemUpdate, Progress, RaceStrategy, ResolveError, Schedule, ScheduleError,
+        ProblemDelta, ProblemUpdate, Progress, RaceStrategy, ResolveError, Schedule,
         ScheduleMetrics, Solution, SolveError, SolveEvent, SolveOptions, SolveTrace, Solver,
         StopReason, ThreadStats,
     };

@@ -1,14 +1,9 @@
-//! Cross-crate tests of the parallel solve paths (DESIGN.md §12):
-//!
-//! 1. **thread-count determinism** — a BSA solve with `with_threads(t)` is
-//!    *bit-identical* (processor, start, finish of every task) to the single-threaded
-//!    solve for any `t`, on several workload/topology shapes: the concurrent
-//!    neighbourhood evaluation prices candidates on per-thread mirrors but commits
-//!    serially, so threads may never change the answer;
-//! 2. **portfolio racing** — the merged event stream is monotone in incumbent length,
-//!    losing configurations go quiet after the winner's `ConfigFinished`, an outer
-//!    cancellation reaches every racing worker and is recorded in provenance, and
-//!    `BestOfAll` results are worker-count independent.
+//! Cross-crate tests of portfolio racing, the one parallel solve path (DESIGN.md §12):
+//! the merged event stream is monotone in incumbent length, losing configurations go
+//! quiet after the winner's `ConfigFinished`, an outer cancellation reaches every
+//! racing worker and is recorded in provenance, `BestOfAll` results are worker-count
+//! independent, a panicking entry cannot stall the race, and `Provenance::threads`
+//! reports the OS threads a solve ran on.
 
 use bsa::prelude::*;
 use bsa::schedule::validate;
@@ -39,97 +34,6 @@ fn schedules_identical(graph: &TaskGraph, a: &Schedule, b: &Schedule) -> bool {
             && a.start_of(t) == b.start_of(t)
             && a.finish_of(t) == b.finish_of(t)
     }) && a.schedule_length() == b.schedule_length()
-}
-
-#[test]
-fn any_thread_count_yields_the_bit_identical_schedule() {
-    let instances = [
-        (
-            "hypercube",
-            random_instance(
-                120,
-                bsa::network::builders::hypercube_for(8).unwrap(),
-                0xA11,
-            ),
-        ),
-        (
-            "clique",
-            random_instance(80, bsa::network::builders::clique(6).unwrap(), 0xB22),
-        ),
-        (
-            "ring",
-            random_instance(60, bsa::network::builders::ring(5).unwrap(), 0xC33),
-        ),
-    ];
-    for (name, (graph, system)) in &instances {
-        let problem = Problem::new(graph, system).unwrap();
-        let baseline = Bsa::default()
-            .solve(
-                &problem,
-                &SolveOptions::default().with_threads(1),
-                &mut NoProgress,
-            )
-            .unwrap();
-        assert!(validate::validate(&baseline.schedule, graph, system).is_empty());
-        for threads in [2usize, 4, 8] {
-            let parallel = Bsa::default()
-                .solve(
-                    &problem,
-                    &SolveOptions::default().with_threads(threads),
-                    &mut NoProgress,
-                )
-                .unwrap();
-            assert!(
-                schedules_identical(graph, &baseline.schedule, &parallel.schedule),
-                "{name}: {threads}-thread schedule diverged from single-threaded"
-            );
-            assert_eq!(parallel.provenance.threads, threads, "{name}");
-        }
-    }
-}
-
-#[test]
-fn thread_stats_cover_every_thread_and_preserve_commit_only_retime_totals() {
-    let (graph, system) =
-        random_instance(80, bsa::network::builders::hypercube_for(8).unwrap(), 0xD44);
-    let problem = Problem::new(&graph, &system).unwrap();
-    let single = Bsa::new(BsaConfig::traced())
-        .solve(
-            &problem,
-            &SolveOptions::default().with_threads(1),
-            &mut NoProgress,
-        )
-        .unwrap();
-    assert_eq!(single.trace.thread_stats.len(), 1);
-    assert_eq!(single.trace.thread_stats[0].thread, 0);
-    assert!(single.trace.thread_stats[0].evals > 0);
-
-    let parallel = Bsa::new(BsaConfig::traced())
-        .solve(
-            &problem,
-            &SolveOptions::default().with_threads(3),
-            &mut NoProgress,
-        )
-        .unwrap();
-    let stats = &parallel.trace.thread_stats;
-    assert_eq!(stats.len(), 3);
-    assert_eq!(
-        stats.iter().map(|s| s.thread).collect::<Vec<_>>(),
-        vec![0, 1, 2]
-    );
-    // Every candidate is priced exactly once, by exactly one thread: the eval totals
-    // match the single-threaded count and the work is actually distributed.
-    let total: u64 = stats.iter().map(|s| s.evals).sum();
-    assert_eq!(total, single.trace.thread_stats[0].evals);
-    assert!(stats.iter().all(|s| s.evals > 0), "work not distributed");
-    // Workers replay every committed migration to stay byte-identical.
-    assert_eq!(
-        stats[1].replays as usize,
-        parallel.trace.num_migrations(),
-        "each worker replays each commit once"
-    );
-    // `trace.retime` stays commit-only so it is comparable across thread counts.
-    assert_eq!(parallel.trace.retime.passes, single.trace.retime.passes);
 }
 
 #[test]
@@ -281,4 +185,86 @@ fn a_portfolio_observer_break_cancels_the_race() {
     let solution = result.unwrap();
     assert_eq!(solution.stop(), StopReason::ObserverStopped);
     assert!(validate::validate(&solution.schedule, &graph, &system).is_empty());
+}
+
+/// A test-only solver whose every solve panics.
+struct Panicking;
+
+impl Solver for Panicking {
+    fn name(&self) -> &str {
+        "Panicking"
+    }
+
+    fn solve(
+        &self,
+        _problem: &Problem<'_>,
+        _options: &SolveOptions,
+        _progress: &mut dyn Progress,
+    ) -> Result<Solution, SolveError> {
+        panic!("injected solver panic")
+    }
+}
+
+#[test]
+fn a_panicking_entry_loses_the_race_instead_of_stalling_it() {
+    let (graph, system) =
+        random_instance(40, bsa::network::builders::hypercube_for(8).unwrap(), 0x4AA);
+    let problem = Problem::new(&graph, &system).unwrap();
+    let alone = Bsa::default().solve_unbounded(&problem).unwrap();
+    for workers in [1usize, 2] {
+        let raced = Portfolio::new()
+            .add("panics", Box::new(Panicking), SolveOptions::default())
+            .add("bsa", Box::new(Bsa::default()), SolveOptions::default())
+            .with_threads(workers)
+            .solve_unbounded(&problem)
+            .unwrap();
+        assert!(
+            schedules_identical(&graph, &alone.schedule, &raced.schedule),
+            "{workers} workers: the surviving entry must win"
+        );
+        assert!(raced.provenance.config.contains("winner = bsa"));
+    }
+
+    let failed = Portfolio::new()
+        .add("panics", Box::new(Panicking), SolveOptions::default())
+        .add("panics too", Box::new(Panicking), SolveOptions::default())
+        .solve_unbounded(&problem);
+    match failed {
+        Err(SolveError::Internal { detail }) => {
+            assert!(detail.contains("injected solver panic"), "{detail}");
+        }
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+}
+
+#[test]
+fn provenance_threads_counts_the_os_threads_a_solve_ran_on() {
+    let (graph, system) =
+        random_instance(40, bsa::network::builders::hypercube_for(8).unwrap(), 0x5BB);
+    let problem = Problem::new(&graph, &system).unwrap();
+    let single: [&dyn Solver; 3] = [&Bsa::default(), &Dls::new(), &Heft::new()];
+    for solver in single {
+        let solution = solver.solve_unbounded(&problem).unwrap();
+        assert_eq!(solution.provenance.threads, 1, "{}", solver.name());
+    }
+
+    let mut delta = ProblemDelta::new();
+    delta.set_task_cost(TaskId(0), 7.0);
+    let (_, warm) = Bsa::default()
+        .solve_unbounded(&problem)
+        .unwrap()
+        .resolve(&problem, &delta, &SolveOptions::default())
+        .unwrap();
+    assert!(warm.provenance.warm_start);
+    assert_eq!(warm.provenance.threads, 1);
+
+    let two = bsa::algorithms::standard_portfolio()
+        .with_threads(2)
+        .solve_unbounded(&problem)
+        .unwrap();
+    assert_eq!(two.provenance.threads, 2);
+    let default = bsa::algorithms::standard_portfolio()
+        .solve_unbounded(&problem)
+        .unwrap();
+    assert_eq!(default.provenance.threads, 4);
 }
