@@ -1,4 +1,4 @@
-//! Scaling benchmark: incremental (dirty-cone) vs full (oracle) re-timing kernel.
+//! Scaling benchmark: incremental (flat sweep) vs full (oracle) re-timing kernel.
 //!
 //! Runs BSA twice per instance — once with [`RetimingMode::Incremental`] (the default
 //! kernel) and once with [`RetimingMode::Full`] (the whole-schedule Kahn relaxation it
@@ -9,7 +9,10 @@
 //! placement and start time per case).  Each case also reports the incremental kernel's
 //! aggregated phase counters (passes, flat sweeps, mean relaxed nodes per pass) so the
 //! JSON records how much decision-graph work the kernel actually did, not just how
-//! long it took.  The run exits non-zero when any cell's two schedules differ.
+//! long it took.  The flat sweep is the only incremental kernel, so every pass counts
+//! as a flat sweep and `fallback_rate` is always 1; the column stays until the bench
+//! is folded into bsabench.  The run exits non-zero when any cell's two schedules
+//! differ.
 //!
 //! Unlike the Criterion benches this is a plain `harness = false` binary so it can emit
 //! a machine-readable `BENCH_scaling.json` next to the human-readable table — CI runs
@@ -52,8 +55,8 @@ struct CaseResult {
 }
 
 impl CaseResult {
-    /// Share of passes that ran the flat sweep instead of the cone kernel.  BSA's
-    /// passes are fully placed, so every pass above the 64-node floor is flat.
+    /// Share of passes that ran the flat sweep: always 1 (0 for a cell without
+    /// passes), since the flat sweep is the only incremental kernel.
     fn fallback_rate(&self) -> f64 {
         if self.retime_passes == 0 {
             0.0

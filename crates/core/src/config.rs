@@ -26,9 +26,8 @@ pub enum PivotStrategy {
 /// in cost.  `Full` is kept as the oracle and for the scaling benchmark's baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum RetimingMode {
-    /// The incremental kernels: a flat sweep over the reduced decision graph on fully
-    /// placed schedules, the dirty cone otherwise
-    /// ([`bsa_schedule::ScheduleBuilder::recompute_times_from`]).
+    /// One flat sweep over the reduced decision graph on persistent arenas
+    /// ([`bsa_schedule::ScheduleBuilder::recompute_times_incremental`]).
     #[default]
     Incremental,
     /// Full Kahn relaxation over every task and hop

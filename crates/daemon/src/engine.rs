@@ -394,7 +394,7 @@ struct Counters {
     rejected_client_limit: u64,
     /// Daemon-lifetime aggregate of the incremental re-timing phase counters of every
     /// successful session (surfaced under `status.retime`): how much decision-graph
-    /// work the kernels did and which kernel — delta, cone or flat — did it.
+    /// work the flat sweep did.
     retime: RetimeTotals,
 }
 

@@ -10,15 +10,23 @@
 //!
 //! `--stdio` serves exactly one client on stdin/stdout — the same protocol, used by
 //! the integration tests and the example client so they need no socket plumbing.
+//!
+//! A request line may hold at most [`MAX_REQUEST_BYTES`] bytes.  A longer one is
+//! answered with a `request_too_large` error and skipped in cap-sized pieces, and the
+//! connection keeps serving, so a client that streams bytes without a newline cannot
+//! grow the daemon's memory past the cap.
 
 use crate::engine::{AlgoChoice, Engine, StreamItem};
 use crate::json::{self, obj, u, Value};
 use crate::wire::{self, WireError};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Largest request line the daemon reads, newline excluded: 16 MiB.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Serves a single client over stdin/stdout, then shuts the engine down.
 pub fn serve_stdio(engine: Arc<Engine>) -> io::Result<()> {
@@ -101,7 +109,7 @@ impl Server {
     fn serve_client<R: BufRead, W: Write>(
         &self,
         client: u64,
-        reader: R,
+        mut reader: R,
         writer: &mut W,
     ) -> io::Result<bool> {
         write_line(
@@ -111,8 +119,15 @@ impl Server {
                 ("proto", u(wire::PROTOCOL_VERSION)),
             ]),
         )?;
-        for line in reader.lines() {
-            let line = line?;
+        while let Some(request) = read_request(&mut reader)? {
+            let Request::Line(line) = request else {
+                let body = obj(vec![
+                    ("kind", json::s("request_too_large")),
+                    ("limit", u(MAX_REQUEST_BYTES as u64)),
+                ]);
+                write_line(writer, &fail_with(body))?;
+                continue;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -311,6 +326,41 @@ impl Server {
     }
 }
 
+/// One request line, read under [`MAX_REQUEST_BYTES`].
+enum Request {
+    /// The line, without its newline.
+    Line(String),
+    /// The line was longer than the cap; its bytes were discarded.
+    TooLarge,
+}
+
+/// Reads the next request line, or `None` at end of input.  A line over
+/// [`MAX_REQUEST_BYTES`] is consumed to its newline (or to end of input), never holding
+/// more than the cap in memory.  Like [`BufRead::lines`], a line that is not UTF-8 is
+/// an `InvalidData` error.
+fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    let mut line = Vec::new();
+    if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_REQUEST_BYTES {
+        // Discard the rest of the line, one cap-sized piece at a time.
+        while line.last() != Some(&b'\n') {
+            line.clear();
+            if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
+        }
+        return Ok(Some(Request::TooLarge));
+    }
+    String::from_utf8(line)
+        .map(|line| Some(Request::Line(line)))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 // ---------------------------------------------------------------------------------
 // Response shaping
 // ---------------------------------------------------------------------------------
@@ -430,5 +480,47 @@ mod tests {
         assert_eq!(kind(&replies[2]).as_deref(), Some("unknown_command"));
         assert_eq!(kind(&replies[3]).as_deref(), Some("unsupported_version"));
         assert_eq!(kind(&replies[4]).as_deref(), Some("unknown_session"));
+    }
+
+    #[test]
+    fn an_oversize_request_is_rejected_and_the_connection_keeps_serving() {
+        let oversize = "x".repeat(MAX_REQUEST_BYTES + 1);
+        let at_cap = "x".repeat(MAX_REQUEST_BYTES);
+        let replies = run_lines(&[
+            &oversize,
+            r#"{"cmd":"status"}"#,
+            &at_cap,
+            r#"{"cmd":"shutdown"}"#,
+        ]);
+        let error = replies[1].get("error").unwrap();
+        assert_eq!(
+            error.get("kind").and_then(Value::as_str),
+            Some("request_too_large")
+        );
+        assert_eq!(
+            error.get("limit").and_then(Value::as_u64),
+            Some(MAX_REQUEST_BYTES as u64)
+        );
+        assert_eq!(replies[2].get("ok").unwrap().as_bool(), Some(true));
+        assert!(replies[2].get("status").is_some());
+        // A line at the cap is read and parsed as before.
+        let error = replies[3].get("error").unwrap();
+        assert_eq!(error.get("kind").and_then(Value::as_str), Some("bad_json"));
+        assert!(replies[4].get("summary").is_some());
+        assert_eq!(replies.len(), 5);
+    }
+
+    #[test]
+    fn an_oversize_line_without_a_newline_is_discarded_up_to_end_of_input() {
+        let mut input = "x".repeat(MAX_REQUEST_BYTES + 1).into_bytes();
+        input.extend_from_slice(b"\n{\"cmd\":\"status\"}\n");
+        // The last line spans three cap-sized pieces and ends at end of input.
+        input.resize(input.len() + 2 * MAX_REQUEST_BYTES + 3, b'y');
+        let mut reader = BufReader::new(input.as_slice());
+        let mut next = || read_request(&mut reader).unwrap();
+        assert!(matches!(next(), Some(Request::TooLarge)));
+        assert!(matches!(next(), Some(Request::Line(l)) if l == r#"{"cmd":"status"}"#));
+        assert!(matches!(next(), Some(Request::TooLarge)));
+        assert!(next().is_none());
     }
 }

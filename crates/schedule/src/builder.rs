@@ -13,21 +13,22 @@
 //! [`ScheduleBuilder::unplace_task`] / [`ScheduleBuilder::clear_route`], and can ask for a
 //! global re-timing that preserves every ordering decision with
 //! [`ScheduleBuilder::recompute_times`] (the "bubble up" compaction BSA relies on) — or
-//! for the incremental variant [`ScheduleBuilder::recompute_times_from`], which uses
-//! the mutations made since the last re-timing to skip work.
+//! for the incremental variant [`ScheduleBuilder::recompute_times_incremental`], which
+//! reuses persistent arenas and checks only the messages of the tasks changed since
+//! the last re-timing.
 //!
 //! Speculative work (evaluating a candidate migration or message route without
 //! committing it) goes through the transactional API in [`crate::txn`]:
 //! [`ScheduleBuilder::begin_txn`] / [`ScheduleBuilder::commit`] /
 //! [`ScheduleBuilder::rollback`], or the [`ScheduleBuilder::speculate`] wrapper.
 
-use crate::incremental::{recompute_from, RetimeStats};
+use crate::incremental::{recompute_incremental, RetimeStats};
 use crate::recompute::{recompute, RecomputeError};
 use crate::scaffold::RetimeScaffold;
 use crate::schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
 use crate::solver::SolveError;
 use crate::timeline::Timeline;
-use crate::txn::{DirtyNode, UndoOp};
+use crate::txn::UndoOp;
 use bsa_network::{HeterogeneousSystem, LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
@@ -60,26 +61,20 @@ pub struct ScheduleBuilder<'a> {
     pub(crate) undo: Vec<UndoOp>,
     /// Nesting depth of open transactions (see [`crate::txn`]).
     pub(crate) txn_depth: usize,
-    /// Decision-graph nodes whose predecessor set changed since the last re-timing —
-    /// the seeds of the next re-timing pass.  A sparse set: deduplicated at insertion
-    /// via the position stamps below, so bulk mutation batches don't bloat it; may
-    /// still contain stale hop indices, which the incremental pass filters.
-    pub(crate) dirty: Vec<DirtyNode>,
+    /// Tasks placed, moved or given a changed incoming route since the last re-timing
+    /// (see [`crate::txn`]).  A sparse set: deduplicated at insertion via the position
+    /// stamps below, so bulk mutation batches don't bloat it.
+    pub(crate) dirty: Vec<TaskId>,
     /// Per-task position stamp: a task is in `dirty` iff `dirty[stamp] == task`.
     /// Emptying or truncating the list needs no stamp writes (a stale stamp points past
-    /// the end or at another node).
-    pub(crate) task_dirty_stamp: Vec<usize>,
-    /// Per-edge, per-hop position stamps, read like `task_dirty_stamp`.  Inner vectors
-    /// grow to the longest route the edge has ever carried and are never shrunk (stale
-    /// high indices are dead storage, exactly like the scaffold's slot maps).
-    pub(crate) hop_dirty_stamp: Vec<Vec<usize>>,
+    /// the end or at another task).
+    pub(crate) dirty_stamp: Vec<usize>,
     /// Dirty lists consumed by re-timing passes inside open transactions, so rollback
     /// can put them back (see [`UndoOp::ClearDirty`]).  Watermarked like
     /// `retime_undo_tasks`; cleared when the outermost transaction commits.
-    pub(crate) dirty_saved: Vec<DirtyNode>,
+    pub(crate) dirty_saved: Vec<TaskId>,
     /// Number of currently placed tasks (maintained by place/unplace and their undos),
-    /// so the re-timing pass can decide in O(1) whether to run the flat sweep, which
-    /// needs every task placed.
+    /// so the re-timing pass can reject a partial placement in O(1).
     pub(crate) placed_count: usize,
     /// Persistent decision-graph scaffolding + scratch arenas for the re-timing pass
     /// (see [`crate::scaffold`]).  Kept in lockstep by the route mutations below and by
@@ -119,11 +114,10 @@ impl<'a> ScheduleBuilder<'a> {
             undo: Vec::new(),
             txn_depth: 0,
             dirty: Vec::new(),
-            task_dirty_stamp: vec![0; graph.num_tasks()],
-            hop_dirty_stamp: vec![Vec::new(); graph.num_edges()],
+            dirty_stamp: vec![0; graph.num_tasks()],
             dirty_saved: Vec::new(),
             placed_count: 0,
-            scaffold: RetimeScaffold::for_problem(graph.num_tasks(), graph.num_edges()),
+            scaffold: RetimeScaffold::for_problem(graph.num_edges()),
             retime_undo_tasks: Vec::new(),
             retime_undo_hops: Vec::new(),
         }
@@ -311,9 +305,9 @@ impl<'a> ScheduleBuilder<'a> {
             .get(pos + 1)
             .map(|iv| iv.payload);
         if let Some(next) = follower {
-            self.mark_dirty(DirtyNode::Task(next));
+            self.mark_dirty(next);
         }
-        self.mark_dirty(DirtyNode::Task(t));
+        self.mark_dirty(t);
         self.log_undo(UndoOp::Place {
             task: t,
             old_start,
@@ -338,9 +332,9 @@ impl<'a> ScheduleBuilder<'a> {
             tl.remove_index(pos);
             // The task that followed `t` inherits `t`'s processor-order predecessor.
             if let Some(next) = follower {
-                self.mark_dirty(DirtyNode::Task(next));
+                self.mark_dirty(next);
             }
-            self.mark_dirty(DirtyNode::Task(t));
+            self.mark_dirty(t);
             self.log_undo(UndoOp::Unplace {
                 task: t,
                 proc: p,
@@ -378,7 +372,7 @@ impl<'a> ScheduleBuilder<'a> {
         }
         self.scaffold.set_route_len(e.index(), hops.len());
         self.routes[e.index()] = hops;
-        self.mark_dirty(DirtyNode::Task(self.graph.edge(e).dst));
+        self.mark_dirty(self.graph.edge(e).dst);
         self.log_undo(UndoOp::Route { edge: e, hops: old });
     }
 
@@ -388,7 +382,7 @@ impl<'a> ScheduleBuilder<'a> {
             return;
         }
         let old = self.detach_route(e);
-        self.mark_dirty(DirtyNode::Task(self.graph.edge(e).dst));
+        self.mark_dirty(self.graph.edge(e).dst);
         self.log_undo(UndoOp::Route { edge: e, hops: old });
     }
 
@@ -406,40 +400,27 @@ impl<'a> ScheduleBuilder<'a> {
         self.routes[e.index()].push(hop);
         self.scaffold
             .set_route_len(e.index(), self.routes[e.index()].len());
-        self.mark_dirty(DirtyNode::Task(self.graph.edge(e).dst));
+        self.mark_dirty(self.graph.edge(e).dst);
         self.log_undo(UndoOp::PopHop(e));
     }
 
-    /// Books hop `k` of edge `e` on its link timeline and marks the affected
-    /// decision-graph nodes dirty (the hop itself and the transmission that now follows
-    /// it in link order).
+    /// Books hop `k` of edge `e` on its link timeline.  The caller marks the message's
+    /// consumer dirty.
     fn book_hop(&mut self, e: EdgeId, k: u32, hop: &MessageHop) {
         let slot = self.link_slot(hop.link, hop.from);
-        let tl = &mut self.link_timelines[slot];
-        let pos = tl.insert(hop.start, hop.finish - hop.start, (e, k));
-        let follower = tl.intervals().get(pos + 1).map(|iv| iv.payload);
-        if let Some((fe, fk)) = follower {
-            self.mark_dirty(DirtyNode::Hop(fe, fk));
-        }
-        self.mark_dirty(DirtyNode::Hop(e, k));
+        self.link_timelines[slot].insert(hop.start, hop.finish - hop.start, (e, k));
     }
 
-    /// Unbooks every hop of edge `e` from the link timelines and returns the old hops,
-    /// marking the transmissions that followed them in link order dirty.  Does not log.
+    /// Unbooks every hop of edge `e` from the link timelines and returns the old hops.
+    /// Does not log or mark.
     fn detach_route(&mut self, e: EdgeId) -> Vec<MessageHop> {
         let old = std::mem::take(&mut self.routes[e.index()]);
         self.scaffold.set_route_len(e.index(), 0);
         for (k, hop) in old.iter().enumerate() {
             let slot = self.link_slot(hop.link, hop.from);
-            let tl = &mut self.link_timelines[slot];
-            let pos = tl
-                .position_at(hop.start, |pl| pl == (e, k as u32))
+            self.link_timelines[slot]
+                .remove_at(hop.start, |pl| pl == (e, k as u32))
                 .expect("routed hop is on its link's timeline");
-            let follower = tl.intervals().get(pos + 1).map(|iv| iv.payload);
-            tl.remove_index(pos);
-            if let Some((fe, fk)) = follower {
-                self.mark_dirty(DirtyNode::Hop(fe, fk));
-            }
         }
         old
     }
@@ -449,44 +430,31 @@ impl<'a> ScheduleBuilder<'a> {
     /// preserving all orderings.  See [`crate::recompute`].
     ///
     /// This is the full-relaxation oracle; the migration hot path uses
-    /// [`ScheduleBuilder::recompute_times_from`] instead.
+    /// [`ScheduleBuilder::recompute_times_incremental`] instead.
     pub fn recompute_times(&mut self) -> Result<(), RecomputeError> {
         recompute(self)
     }
 
-    /// Incrementally re-times the schedule from the decision-graph nodes whose
-    /// predecessor set changed since the last re-timing (tracked automatically by every
-    /// mutation) and the extra `seeds` given by the caller.  A fully placed schedule of
-    /// at least [`crate::incremental::FALLBACK_FLOOR`] nodes gets one flat sweep over
-    /// the reduced decision graph; any other gets only the *dirty cone*, the seeds and
-    /// everything downstream of them.  Produces times identical to
-    /// [`ScheduleBuilder::recompute_times`] provided the rest of the schedule was
-    /// already compacted (which holds whenever every prior mutation batch was followed
-    /// by a successful re-timing).  See [`crate::incremental`].
+    /// Re-times the schedule after the mutations made since the last re-timing
+    /// (tracked automatically by every mutation) with one flat sweep over the reduced
+    /// decision graph on the builder's persistent arenas.  Produces exactly the times
+    /// and errors of [`ScheduleBuilder::recompute_times`]: a partial placement is
+    /// [`RecomputeError::UnplacedTask`], checked first, and a pass with nothing dirty
+    /// changes nothing.  See [`crate::incremental`].
     ///
     /// On error nothing is modified (and the dirty set is kept), so a transaction
     /// rollback restores the exact pre-transaction state.
-    pub fn recompute_times_from(
-        &mut self,
-        seeds: &[TaskId],
-    ) -> Result<RetimeStats, RecomputeError> {
-        recompute_from(self, seeds)
-    }
-
-    /// [`ScheduleBuilder::recompute_times_from`] with no extra seeds: re-times after the
-    /// mutations made since the last re-timing.
     pub fn recompute_times_incremental(&mut self) -> Result<RetimeStats, RecomputeError> {
-        self.recompute_times_from(&[])
+        recompute_incremental(self)
     }
 
     /// Whether the incrementally maintained re-timing scaffold (per-edge route-length
-    /// mirror, total-hop count, slot-map sizing) is byte-equal to one rebuilt from
-    /// scratch off the current routes.  Always true by construction; exposed so the
-    /// property suite can pin the incremental maintenance (including its interaction
-    /// with rollback) against the rebuild.
+    /// mirror and total-hop count) is byte-equal to one rebuilt from scratch off the
+    /// current routes.  Always true by construction; exposed so the property suite can
+    /// pin the incremental maintenance (including its interaction with rollback)
+    /// against the rebuild.
     pub fn scaffold_matches_rebuild(&self) -> bool {
-        self.scaffold
-            .matches_rebuild(self.graph.num_tasks(), &self.routes)
+        self.scaffold.matches_rebuild(&self.routes)
     }
 
     /// Number of re-timing passes (beyond the first) in which a scratch arena had to

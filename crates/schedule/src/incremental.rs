@@ -3,19 +3,11 @@
 //! [`crate::recompute`] relaxes every task and message hop from scratch and rebuilds
 //! every timeline.  BSA re-times after each accepted migration so the tasks left behind
 //! bubble up (paper §2.3), so this module computes the same earliest-start fixpoint
-//! with two kernels that run on the builder's persistent arenas (`crate::scaffold`;
-//! DESIGN.md §7.2):
-//!
-//! * **The flat sweep** (`flat_relax`) relaxes the whole *reduced* decision graph.  It
-//!   runs on every pass over a fully placed schedule with at least [`FALLBACK_FLOOR`]
-//!   decision nodes: every pass of BSA's migration loop and of
-//!   `Solution::resolve_onto`.
-//! * **The cone kernel** relaxes only the successor closure of the dirty seeds.  It runs
-//!   on every other pass: partial placements made through the public API, and tiny
-//!   graphs.
-//!
-//! The rule reads only the placement count and the graph size, and both kernels compute
-//! the [`crate::recompute`] fixpoint bit for bit, so it never changes a result.
+//! with one flat sweep over the *reduced* decision graph, on the builder's persistent
+//! arenas (`crate::scaffold`; DESIGN.md §7.2).  It has exactly the oracle's results and
+//! errors: a pass over a partial placement returns [`RecomputeError::UnplacedTask`]
+//! (the lowest unplaced id) before touching anything, and a pass with nothing dirty
+//! returns at once, because nothing changed since the last successful pass.
 //!
 //! **The reduced graph.**  The decision graph has an edge per processor-order pair, per
 //! link-order pair, per hop of a routed message's chain (producer → hop 0 → … → last
@@ -36,125 +28,31 @@
 //! reports ([`RecomputeError::CyclicDecisions`]).  Debug builds also sweep every
 //! route-less message and assert the invariant.
 //!
-//! **The cone kernel.**
-//!
-//! 1. *Seeds.*  The decision-graph nodes whose predecessor set a mutation changed (see
-//!    [`crate::txn`]), plus the caller's extra task seeds.  Stale entries (hops of a
-//!    route that has since shrunk) are filtered out; duplicates are merged.
-//! 2. *Cone.*  The successor closure of the seeds under the current decision edges.  It
-//!    is successor-closed, so every node outside it has only outside predecessors: its
-//!    committed time is still the fixpoint and is read as-is.
-//! 3. *Relaxation.*  A Kahn pass over the cone only.  A new cycle passes through a
-//!    changed edge, hence through the cone, so looking at the cone alone does not
-//!    weaken cycle detection.
-//!
-//! The result equals a full [`crate::recompute`] pass **provided the schedule outside
-//! the cone is already compacted**, which holds whenever every earlier mutation batch
-//! was followed by a successful re-timing.  `tests/property_based.rs` pins both kernels
-//! against the oracle.
-//!
-//! Both kernels write back only the nodes whose window changed, in place (re-timing
-//! keeps every timeline's interval order), save the old windows for rollback inside a
-//! transaction, and allocate nothing once the arenas reach their high-water capacity
+//! The sweep writes back only the nodes whose window changed, in place (re-timing keeps
+//! every timeline's interval order), saves the old windows for rollback inside a
+//! transaction, and allocates nothing once the arenas reach their high-water capacity
 //! (`tests/zero_alloc.rs`).  Errors are detected before anything is written, so a
 //! failed call leaves the builder (and its dirty list) untouched.
 
 use crate::builder::ScheduleBuilder;
 use crate::recompute::RecomputeError;
-use crate::scaffold::{slot_lookup, RetimeScaffold, NONE};
-use crate::txn::{DirtyNode, UndoOp};
+use crate::scaffold::RetimeScaffold;
+use crate::txn::UndoOp;
 use bsa_network::{LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
-
-/// Which kernel ran an incremental re-timing pass.  Both compute the identical
-/// earliest-start fixpoint; the kind is diagnostics only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetimeKind {
-    /// Kahn relaxation over the successor closure of the seeds (also what an empty
-    /// pass reports).
-    #[default]
-    Cone,
-    /// Kahn relaxation over the whole reduced decision graph.
-    Flat,
-}
 
 /// What an incremental re-timing pass did, for diagnostics, the BSA trace's phase
 /// counters, and the scaling benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetimeStats {
-    /// Live, deduplicated seeds the pass started from.
+    /// Tasks dirty when the pass started.
     pub seed_nodes: usize,
-    /// Nodes (tasks + hops) the pass relaxed: the dirty cone, or the whole decision
-    /// graph for a flat sweep.
+    /// Nodes (tasks + hops) the pass relaxed: the whole decision graph.
     pub cone_nodes: usize,
-    /// Dependency edges the Kahn pass relaxed: the cone's, or the reduced graph's.
+    /// Dependency edges the Kahn pass relaxed: the reduced graph's.
     pub cone_edges: usize,
     /// Nodes whose start or finish time actually changed.
     pub changed_nodes: usize,
-    /// Which kernel ran the pass.
-    pub kind: RetimeKind,
-}
-
-/// Passes over a fully placed schedule with at least this many decision-graph nodes
-/// (tasks + booked hops) run the flat sweep; every other pass runs the cone kernel.
-/// Below it the cone kernel is cheap regardless, and the small graphs of the unit and
-/// property tests keep exercising it.
-pub const FALLBACK_FLOOR: usize = 64;
-
-/// Whether a dirty entry still refers to an existing decision-graph node.
-fn node_exists(sc: &RetimeScaffold, n: DirtyNode) -> bool {
-    match n {
-        DirtyNode::Task(_) => true,
-        DirtyNode::Hop(e, k) => k < sc.hop_len[e.index()],
-    }
-}
-
-/// Duration of a node under the current decisions.
-fn duration_of(b: &ScheduleBuilder<'_>, n: DirtyNode) -> f64 {
-    match n {
-        DirtyNode::Task(t) => {
-            let p = b.assignment[t.index()].expect("cone tasks are placed");
-            b.system.exec_cost(t, p)
-        }
-        DirtyNode::Hop(e, k) => {
-            let hop = b.routes[e.index()][k as usize];
-            b.system
-                .transfer_time(hop.link, b.graph.edge(e).nominal_cost)
-        }
-    }
-}
-
-/// Adds `n` to the cone (no-op if present), computing its timeline position unless the
-/// caller already knows it.  Returns the cone slot.
-fn add_to_cone(
-    b: &ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    n: DirtyNode,
-    pos_hint: Option<u32>,
-) -> Result<u32, RecomputeError> {
-    let (slot, fresh) = sc.claim_slot(n);
-    if !fresh {
-        return Ok(slot);
-    }
-    let pos = match pos_hint {
-        Some(p) => p,
-        None => match n {
-            DirtyNode::Task(t) => {
-                let p = b.assignment[t.index()].ok_or(RecomputeError::UnplacedTask(t))?;
-                b.proc_timelines[p.index()]
-                    .position_at(b.task_start[t.index()], |x| x == t)
-                    .expect("placed task is on its processor's timeline") as u32
-            }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                b.link_timelines[b.link_slot(hop.link, hop.from)]
-                    .position_at(hop.start, |pl| pl == (e, k))
-                    .expect("hop is on its link's timeline") as u32
-            }
-        },
-    };
-    sc.tpos.push(pos);
-    Ok(slot)
 }
 
 /// Level-batched Kahn relaxation of the scaffold's `dep_edges` over nodes `0..m`, from
@@ -270,27 +168,6 @@ fn retime_hop(
     true
 }
 
-/// Ends a write-back: logs the undo watermarks the pass started from (inside a
-/// transaction) and clears the dirty list the pass consumed.  See [`UndoOp::Retime`].
-fn close_write_back(b: &mut ScheduleBuilder<'_>, log: bool, tasks_from: usize, hops_from: usize) {
-    #[cfg(debug_assertions)]
-    {
-        for tl in &b.proc_timelines {
-            debug_assert!(tl.is_consistent(), "processor timeline after write-back");
-        }
-        for tl in &b.link_timelines {
-            debug_assert!(tl.is_consistent(), "link timeline after write-back");
-        }
-    }
-    if log {
-        b.log_undo(UndoOp::Retime {
-            tasks_from,
-            hops_from,
-        });
-    }
-    b.clear_dirty();
-}
-
 /// The flat sweep over the reduced decision graph (see the module documentation).
 ///
 /// Node numbering: tasks first, then the hops edge by edge in route order, offset by
@@ -298,7 +175,6 @@ fn close_write_back(b: &mut ScheduleBuilder<'_>, log: bool, tasks_from: usize, h
 fn flat_relax(
     b: &mut ScheduleBuilder<'_>,
     sc: &mut RetimeScaffold,
-    extra_seeds: &[TaskId],
 ) -> Result<RetimeStats, RecomputeError> {
     let graph = b.graph;
     let system = b.system;
@@ -349,11 +225,10 @@ fn flat_relax(
         }
     }
 
-    let is_dirty = |t: TaskId| b.is_dirty(DirtyNode::Task(t));
     #[cfg(debug_assertions)]
     for e in graph.edge_ids() {
         let edge = graph.edge(e);
-        if sc.hop_len[e.index()] == 0 && !is_dirty(edge.src) && !is_dirty(edge.dst) {
+        if sc.hop_len[e.index()] == 0 && !b.is_dirty(edge.src) && !b.is_dirty(edge.dst) {
             assert!(
                 b.assignment[edge.src.index()] == b.assignment[edge.dst.index()]
                     && sc.tpos[edge.src.index()] < sc.tpos[edge.dst.index()],
@@ -364,14 +239,9 @@ fn flat_relax(
     }
 
     // Only dirty tasks' route-less messages can be remote or turned around.
-    let mut seed_nodes = 0usize;
+    let seed_nodes = b.dirty.len();
     let mut missing: Option<EdgeId> = None;
-    for &n in &b.dirty {
-        let DirtyNode::Task(t) = n else {
-            seed_nodes += usize::from(node_exists(sc, n));
-            continue;
-        };
-        seed_nodes += 1;
+    for &t in &b.dirty {
         for &e in graph.in_edges(t).iter().chain(graph.out_edges(t)) {
             if sc.hop_len[e.index()] != 0 {
                 continue;
@@ -384,7 +254,6 @@ fn flat_relax(
             }
         }
     }
-    seed_nodes += extra_seeds.iter().filter(|&&t| !is_dirty(t)).count();
     if let Some(e) = missing {
         return Err(RecomputeError::MissingRoute(e));
     }
@@ -413,199 +282,42 @@ fn flat_relax(
             changed += usize::from(retime_hop(b, (e, k), slot, pos, window, log));
         }
     }
-    close_write_back(b, log, tasks_from, hops_from);
+    #[cfg(debug_assertions)]
+    {
+        for tl in &b.proc_timelines {
+            debug_assert!(tl.is_consistent(), "processor timeline after write-back");
+        }
+        for tl in &b.link_timelines {
+            debug_assert!(tl.is_consistent(), "link timeline after write-back");
+        }
+    }
+    if log {
+        b.log_undo(UndoOp::Retime {
+            tasks_from,
+            hops_from,
+        });
+    }
+    b.clear_dirty();
     Ok(RetimeStats {
         seed_nodes,
         cone_nodes: num_nodes,
         cone_edges: sc.dep_edges.len(),
         changed_nodes: changed,
-        kind: RetimeKind::Flat,
-    })
-}
-
-/// The cone kernel (see the module documentation).
-fn cone_relax(
-    b: &mut ScheduleBuilder<'_>,
-    sc: &mut RetimeScaffold,
-    extra_seeds: &[TaskId],
-) -> Result<RetimeStats, RecomputeError> {
-    // ---- seeds ----------------------------------------------------------------------
-    for i in 0..b.dirty.len() {
-        let s = b.dirty[i];
-        if node_exists(sc, s) {
-            add_to_cone(b, sc, s, None)?;
-        }
-    }
-    for &t in extra_seeds {
-        add_to_cone(b, sc, DirtyNode::Task(t), None)?;
-    }
-    let seed_nodes = sc.nodes.len();
-
-    // ---- cone: successor closure of the seeds -------------------------------------
-    let mut cursor = 0usize;
-    while cursor < sc.nodes.len() {
-        let u = cursor as u32;
-        let node = sc.nodes[cursor];
-        let pos = sc.tpos[cursor] as usize;
-        match node {
-            DirtyNode::Task(t) => {
-                let p = b.assignment[t.index()].expect("cone tasks are placed");
-                let next = b.proc_timelines[p.index()]
-                    .intervals()
-                    .get(pos + 1)
-                    .map(|iv| iv.payload);
-                if let Some(next) = next {
-                    let v = add_to_cone(b, sc, DirtyNode::Task(next), Some(pos as u32 + 1))?;
-                    sc.dep_edges.push((u, v));
-                }
-                for &eid in b.graph.out_edges(t) {
-                    if b.routes[eid.index()].is_empty() {
-                        let dst = b.graph.edge(eid).dst;
-                        let dp =
-                            b.assignment[dst.index()].ok_or(RecomputeError::UnplacedTask(dst))?;
-                        if dp != p {
-                            return Err(RecomputeError::MissingRoute(eid));
-                        }
-                        let v = add_to_cone(b, sc, DirtyNode::Task(dst), None)?;
-                        sc.dep_edges.push((u, v));
-                    } else {
-                        let v = add_to_cone(b, sc, DirtyNode::Hop(eid, 0), None)?;
-                        sc.dep_edges.push((u, v));
-                    }
-                }
-            }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                let next = b.link_timelines[b.link_slot(hop.link, hop.from)]
-                    .intervals()
-                    .get(pos + 1)
-                    .map(|iv| iv.payload);
-                if let Some((ne, nk)) = next {
-                    let v = add_to_cone(b, sc, DirtyNode::Hop(ne, nk), Some(pos as u32 + 1))?;
-                    sc.dep_edges.push((u, v));
-                }
-                let v = if (k as usize) + 1 < b.routes[e.index()].len() {
-                    add_to_cone(b, sc, DirtyNode::Hop(e, k + 1), None)?
-                } else {
-                    add_to_cone(b, sc, DirtyNode::Task(b.graph.edge(e).dst), None)?
-                };
-                sc.dep_edges.push((u, v));
-            }
-        }
-        cursor += 1;
-    }
-
-    // ---- durations and initial starts: fold in out-of-cone predecessors' finishes --
-    let m = sc.nodes.len();
-    {
-        let RetimeScaffold {
-            ref nodes,
-            ref tpos,
-            epoch,
-            ref task_mark,
-            ref hop_mark,
-            ref mut start,
-            ref mut dur,
-            ..
-        } = *sc;
-        let slot = |n: DirtyNode| slot_lookup(epoch, task_mark, hop_mark, n);
-        for i in 0..m {
-            let pos = tpos[i] as usize;
-            let mut s = 0.0f64;
-            match nodes[i] {
-                DirtyNode::Task(t) => {
-                    let p = b.assignment[t.index()].expect("cone tasks are placed");
-                    if pos > 0 {
-                        let prev = b.proc_timelines[p.index()].intervals()[pos - 1].payload;
-                        if slot(DirtyNode::Task(prev)) == NONE {
-                            s = s.max(b.task_finish[prev.index()]);
-                        }
-                    }
-                    for &eid in b.graph.in_edges(t) {
-                        let route_len = b.routes[eid.index()].len();
-                        if route_len == 0 {
-                            let src = b.graph.edge(eid).src;
-                            let sp = b.assignment[src.index()]
-                                .ok_or(RecomputeError::UnplacedTask(src))?;
-                            if sp != p {
-                                return Err(RecomputeError::MissingRoute(eid));
-                            }
-                            if slot(DirtyNode::Task(src)) == NONE {
-                                s = s.max(b.task_finish[src.index()]);
-                            }
-                        } else {
-                            let k = (route_len - 1) as u32;
-                            if slot(DirtyNode::Hop(eid, k)) == NONE {
-                                s = s.max(b.routes[eid.index()][k as usize].finish);
-                            }
-                        }
-                    }
-                }
-                DirtyNode::Hop(e, k) => {
-                    let hop = b.routes[e.index()][k as usize];
-                    if pos > 0 {
-                        let (pe, pk) = b.link_timelines[b.link_slot(hop.link, hop.from)]
-                            .intervals()[pos - 1]
-                            .payload;
-                        if slot(DirtyNode::Hop(pe, pk)) == NONE {
-                            s = s.max(b.routes[pe.index()][pk as usize].finish);
-                        }
-                    }
-                    if k == 0 {
-                        let src = b.graph.edge(e).src;
-                        if slot(DirtyNode::Task(src)) == NONE {
-                            s = s.max(b.task_finish[src.index()]);
-                        }
-                    } else if slot(DirtyNode::Hop(e, k - 1)) == NONE {
-                        s = s.max(b.routes[e.index()][(k - 1) as usize].finish);
-                    }
-                }
-            }
-            start.push(s);
-            dur.push(duration_of(b, nodes[i]));
-        }
-    }
-
-    if !relax(sc, m) {
-        return Err(RecomputeError::CyclicDecisions);
-    }
-
-    // ---- in-place write-back of changed nodes only -----------------------------------
-    let log = b.in_txn();
-    let (tasks_from, hops_from) = (b.retime_undo_tasks.len(), b.retime_undo_hops.len());
-    let mut changed = 0usize;
-    for i in 0..m {
-        let pos = sc.tpos[i] as usize;
-        let window = (sc.start[i], sc.finish[i]);
-        changed += usize::from(match sc.nodes[i] {
-            DirtyNode::Task(t) => {
-                let p = b.assignment[t.index()].expect("cone tasks are placed");
-                retime_task(b, t, p.index(), pos, window, log)
-            }
-            DirtyNode::Hop(e, k) => {
-                let hop = b.routes[e.index()][k as usize];
-                let slot = b.link_slot(hop.link, hop.from);
-                retime_hop(b, (e, k), slot, pos, window, log)
-            }
-        });
-    }
-    close_write_back(b, log, tasks_from, hops_from);
-    Ok(RetimeStats {
-        seed_nodes,
-        cone_nodes: m,
-        cone_edges: sc.dep_edges.len(),
-        changed_nodes: changed,
-        kind: RetimeKind::Cone,
     })
 }
 
 /// See the module documentation.  Called through
-/// [`ScheduleBuilder::recompute_times_from`].
-pub(crate) fn recompute_from(
+/// [`ScheduleBuilder::recompute_times_incremental`].
+pub(crate) fn recompute_incremental(
     b: &mut ScheduleBuilder<'_>,
-    extra_seeds: &[TaskId],
 ) -> Result<RetimeStats, RecomputeError> {
-    if b.dirty.is_empty() && extra_seeds.is_empty() {
+    if !b.all_placed() {
+        let unplaced = b.graph.task_ids().find(|&t| !b.is_placed(t));
+        return Err(RecomputeError::UnplacedTask(
+            unplaced.expect("a task is unplaced"),
+        ));
+    }
+    if b.dirty.is_empty() {
         return Ok(RetimeStats::default());
     }
     // The scaffold is moved out for the duration of the pass so the pass can hold it
@@ -619,11 +331,7 @@ pub(crate) fn recompute_from(
         "scaffold total_hops mirror out of sync with the routes"
     );
     sc.begin_pass();
-    let result = if b.all_placed() && b.graph.num_tasks() + sc.total_hops >= FALLBACK_FLOOR {
-        flat_relax(b, &mut sc, extra_seeds)
-    } else {
-        cone_relax(b, &mut sc, extra_seeds)
-    };
+    let result = flat_relax(b, &mut sc);
     sc.end_pass();
     b.scaffold = sc;
     result
@@ -676,7 +384,7 @@ mod tests {
         assert!(b.same_schedule_state(&oracle));
         assert_eq!(stats.cone_nodes, 3);
         assert_eq!(stats.changed_nodes, 3);
-        assert!(stats.seed_nodes >= 1 && stats.seed_nodes <= 3);
+        assert_eq!(stats.seed_nodes, 3);
     }
 
     #[test]
@@ -691,12 +399,15 @@ mod tests {
         let stats = b.recompute_times_incremental().unwrap();
         assert_eq!(stats.cone_nodes, 0);
         assert_eq!(stats.changed_nodes, 0);
-        // Seeding a task relaxes its cone but changes nothing.
-        let stats = b.recompute_times_from(&[TaskId(0)]).unwrap();
-        assert_eq!(stats.seed_nodes, 1);
+        // Re-placing T0 in its own slot dirties it and its follower T1: the sweep relaxes
+        // the whole graph but changes nothing.
+        b.unplace_task(TaskId(0));
+        b.place_task(TaskId(0), ProcId(0), 0.0);
+        let stats = b.recompute_times_incremental().unwrap();
+        assert_eq!(stats.seed_nodes, 2);
         assert_eq!(stats.cone_nodes, 3);
-        // Consecutive chain tasks are linked twice: processor order + local message.
-        assert_eq!(stats.cone_edges, 4);
+        // Processor order already implies both local messages.
+        assert_eq!(stats.cone_edges, 2);
         assert_eq!(stats.changed_nodes, 0);
     }
 
@@ -760,7 +471,7 @@ mod tests {
         );
     }
 
-    // ---- routing: fully placed and >= FALLBACK_FLOOR nodes -> flat, else cone -----
+    // ---- graph size, bulk dirt and partial placements -----------------------------
 
     /// Places every task of `g` on processor 0 in id order, `gap` apart, from `start`.
     fn place_in_order(b: &mut ScheduleBuilder<'_>, g: &TaskGraph, start: f64, gap: f64) {
@@ -773,47 +484,24 @@ mod tests {
 
     #[test]
     fn below_the_node_floor_the_fallback_never_fires() {
-        // 40 nodes < FALLBACK_FLOOR: even 100%-dirty seeds stay on the cone path and
-        // still match the oracle exactly.
+        // 40 nodes, below the 64-node floor that once routed small graphs to a separate
+        // kernel: the pass is the same flat sweep over every node and matches the
+        // oracle exactly.
         let (g, sys) = placed_chain(40);
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
         place_in_order(&mut b, &g, 100.0, 7.0);
         let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
-        assert_eq!(stats.kind, RetimeKind::Cone);
         assert_eq!(stats.cone_nodes, 40);
         assert!(b.same_schedule_state(&oracle));
     }
 
     #[test]
-    fn seed_counts_on_both_sides_of_the_fallback_threshold_match_the_oracle() {
-        // 80 placed tasks, no routes: 80 decision-graph nodes >= FALLBACK_FLOOR.  The
-        // seed count no longer routes a pass: 60 and 61 seeds, either side of the old
-        // three-quarter seed threshold, both run the flat sweep because every task is
-        // placed, and each pass is bit-identical to the full relaxation.
-        let (g, sys) = placed_chain(80);
-        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        place_in_order(&mut b, &g, 0.0, 0.0);
-        b.recompute_times_incremental().unwrap();
-        for count in [60, 61] {
-            let seeds: Vec<TaskId> = g.task_ids().take(count).collect();
-            let mut oracle = b.clone();
-            let stats = b.recompute_times_from(&seeds).unwrap();
-            oracle.recompute_times().unwrap();
-            assert_eq!(stats.kind, RetimeKind::Flat);
-            assert_eq!(stats.seed_nodes, count);
-            assert_eq!(stats.cone_nodes, 80);
-            assert!(b.same_schedule_state(&oracle));
-        }
-    }
-
-    #[test]
-    fn late_seeds_above_the_floor_stay_on_the_cone_path() {
-        // The same 80-task chain plus one isolated task that stays unplaced: the pass
-        // is partial, so seeds in the last five slots stay on the cone path and relax
-        // only that five-node suffix.  The result matches the oracle run once the spare
-        // is placed on the other processor (where it touches nothing).
+    fn a_partial_placement_fails_like_the_oracle_and_keeps_the_builder() {
+        // An 80-task chain plus one isolated task that stays unplaced: the pass returns
+        // the oracle's error before touching anything.  Once the spare is placed (on the
+        // other processor, where it touches nothing) the pass matches the oracle.
         let mut gb = TaskGraphBuilder::new();
         let mut prev = gb.add_task("t0", 10.0);
         for i in 1..80 {
@@ -825,34 +513,34 @@ mod tests {
         let g = gb.build().unwrap();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(2).unwrap());
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        // Nothing dirty yet: the placement check still comes first.
+        assert_eq!(
+            b.recompute_times_incremental(),
+            Err(RecomputeError::UnplacedTask(TaskId(0)))
+        );
         let mut cursor = 30.0;
         for t in g.task_ids().take(80) {
             b.place_task(t, ProcId(0), cursor);
             cursor = b.finish_of(t) + 5.0;
         }
-        let stats = b.recompute_times_incremental().unwrap();
-        assert_eq!(stats.kind, RetimeKind::Cone);
-        assert_eq!(stats.cone_nodes, 80);
-
-        let late: Vec<TaskId> = g.task_ids().skip(75).take(5).collect();
+        let snapshot = b.clone();
         let mut oracle = b.clone();
-        let stats = b.recompute_times_from(&late).unwrap();
-        assert_eq!(stats.kind, RetimeKind::Cone);
-        assert_eq!(stats.seed_nodes, 5);
-        assert_eq!(stats.cone_nodes, 5);
-        oracle.place_task(spare, ProcId(1), 0.0);
-        oracle.recompute_times().unwrap();
-        for t in g.task_ids().take(80) {
-            assert_eq!(b.start_of(t), oracle.start_of(t));
-            assert_eq!(b.finish_of(t), oracle.finish_of(t));
-        }
+        assert_eq!(
+            b.recompute_times_incremental(),
+            Err(RecomputeError::UnplacedTask(spare))
+        );
+        assert_eq!(
+            oracle.recompute_times(),
+            Err(RecomputeError::UnplacedTask(spare))
+        );
+        assert!(b.same_schedule_state(&snapshot));
+        assert_eq!(b.dirty, snapshot.dirty);
 
-        // Once the spare is placed the pass is fully placed, and the same late seeds
-        // run the flat sweep, bit-identical to the oracle.
         b.place_task(spare, ProcId(1), 0.0);
-        let stats = b.recompute_times_from(&late).unwrap();
-        assert_eq!(stats.kind, RetimeKind::Flat);
-        assert_eq!(stats.seed_nodes, 6);
+        oracle.place_task(spare, ProcId(1), 0.0);
+        let stats = b.recompute_times_incremental().unwrap();
+        oracle.recompute_times().unwrap();
+        assert_eq!(stats.seed_nodes, 81);
         assert!(b.same_schedule_state(&oracle));
     }
 
@@ -866,9 +554,9 @@ mod tests {
         let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
-        assert_eq!(stats.kind, RetimeKind::Flat);
+        assert_eq!(stats.seed_nodes, 80);
         assert!(b.same_schedule_state(&oracle));
-        // The flat sweep cleared the dirty list like a cone pass would.
+        // The sweep cleared the dirty list, so the next pass has nothing to do.
         let stats = b.recompute_times_incremental().unwrap();
         assert_eq!(stats.cone_nodes, 0);
     }
@@ -887,7 +575,6 @@ mod tests {
         let mut oracle = b.clone();
         let stats = b.recompute_times_incremental().unwrap();
         oracle.recompute_times().unwrap();
-        assert_eq!(stats.kind, RetimeKind::Flat);
         assert_eq!(stats.cone_nodes, n);
         assert_eq!(stats.cone_edges, n - 1);
         assert_eq!(stats.changed_nodes, n);

@@ -17,10 +17,9 @@
 //!
 //! * [`ScheduleBuilder::recompute_times`] — full Kahn relaxation over every task and
 //!   hop (the oracle, see [`recompute`]);
-//! * [`ScheduleBuilder::recompute_times_from`] — the hot path (see [`incremental`]): a
-//!   flat sweep over the reduced decision graph on fully placed schedules, or a
-//!   relaxation of only the nodes downstream of the mutations since the last
-//!   re-timing (the dirty cone) on partial ones.
+//! * [`ScheduleBuilder::recompute_times_incremental`] — the hot path (see
+//!   [`incremental`]): one flat sweep over the reduced decision graph on persistent
+//!   arenas, with the oracle's results and errors.
 //!
 //! Mutations are transactional ([`txn`]): [`ScheduleBuilder::begin_txn`] /
 //! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give speculative
@@ -75,7 +74,7 @@ pub mod validate;
 
 pub use builder::ScheduleBuilder;
 pub use delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
-pub use incremental::{RetimeKind, RetimeStats};
+pub use incremental::RetimeStats;
 pub use metrics::ScheduleMetrics;
 pub use portfolio::{Portfolio, PortfolioEntry, RaceStrategy};
 pub use recompute::RecomputeError;

@@ -229,7 +229,7 @@ pub(crate) fn recompute(b: &mut ScheduleBuilder<'_>) -> Result<(), RecomputeErro
         }
     }
     b.link_timelines = new_link;
-    // A full pass supersedes any pending dirty-cone work.
+    // A full pass consumes the dirty list, like an incremental one.
     b.clear_dirty();
     Ok(())
 }

@@ -22,10 +22,10 @@
 //!    router as the cold path — routes over downed links are recomputed only for the
 //!    affected pairs) and placing the task in the earliest gap; the best finish wins,
 //!    ties to the lower processor id.
-//! 4. **Re-time** once with `recompute_times_from`, seeded by the mutation log
-//!    accumulated in steps 2–3 and the repaired frontier.  Every task is placed by
-//!    then, so above the 64-node floor this is one bulk flat sweep; it compacts the
-//!    schedule exactly like a cold solver's final pass.
+//! 4. **Re-time** once with `recompute_times_incremental`.  Every task is placed by
+//!    then, so this is one flat sweep that checks the messages of the tasks steps 2–3
+//!    placed or re-routed; it compacts the schedule exactly like a cold solver's final
+//!    pass.
 //!
 //! Budgets behave differently from cold solves, deliberately: a resolve must return a
 //! **feasible** schedule, so an exhausted budget (deadline, migration budget,
@@ -258,11 +258,11 @@ impl Solution {
             }
         }
 
-        // ----- 4. Re-time from the invalidated frontier -------------------------
+        // ----- 4. Re-time the repaired schedule ---------------------------------
         let mut retime = RetimeTotals::default();
         if !repair_order.is_empty() {
             let stats = b
-                .recompute_times_from(&repair_order)
+                .recompute_times_incremental()
                 .map_err(|e| SolveError::retiming("warm-start resolve", e))?;
             retime.absorb(&stats);
         }

@@ -635,35 +635,33 @@ pub struct MigrationRecord {
     pub vip_rule: bool,
 }
 
-/// Aggregated phase counters of every re-timing pass in a run (seeds → relaxed nodes
-/// and edges → changed nodes; see [`crate::RetimeStats`]).  Surfaced so benches and the
-/// worked-example binaries can report how much decision-graph work the incremental
-/// kernels actually did, instead of inferring it from wall time alone.
+/// Aggregated phase counters of every re-timing pass in a run (dirty tasks → relaxed
+/// nodes and edges → changed nodes; see [`crate::RetimeStats`]).  Surfaced so benches
+/// and the worked-example binaries can report how much decision-graph work the
+/// incremental sweep actually did, instead of inferring it from wall time alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RetimeTotals {
     /// Re-timing passes performed after accepted migrations.
     pub passes: usize,
-    /// Passes that ran the flat sweep over the whole reduced decision graph (see
-    /// [`crate::RetimeKind::Flat`]); the rest ran the cone kernel.
+    /// Passes that ran the flat sweep over the whole reduced decision graph: every
+    /// pass, since it is the only incremental kernel.  Kept, like the always-0 fields
+    /// below, so the trace JSON, the daemon's `status.retime` object and bsabench keep
+    /// their keys.
     pub fallbacks: usize,
-    /// Live, deduplicated seed nodes across all passes.
+    /// Tasks dirty when each pass started, summed over all passes.
     pub seed_nodes: usize,
-    /// Decision-graph nodes relaxed: dirty cones, and the whole graph per flat sweep.
+    /// Decision-graph nodes relaxed: the whole graph per pass.
     pub cone_nodes: usize,
     /// Dependency edges relaxed by the Kahn passes.
     pub cone_edges: usize,
     /// Nodes whose start/finish actually moved.
     pub changed_nodes: usize,
-    /// Always 0: neither kernel propagates deltas.  Kept so the trace JSON, the
-    /// daemon's `status.retime` object and bsabench keep their keys.
+    /// Always 0: the flat sweep propagates no deltas.
     pub delta_passes: usize,
     /// Always 0, like [`RetimeTotals::delta_passes`].
     pub delta_evals: usize,
-    /// Every flat sweep, the same count as [`RetimeTotals::fallbacks`].  One routing
-    /// rule is left (fully placed and at least [`crate::incremental::FALLBACK_FLOOR`]
-    /// nodes → flat), so this field counts all flat passes and the other two
-    /// `flat_by_*` fields stay 0; all three keep their keys for the same readers as
-    /// [`RetimeTotals::delta_passes`].
+    /// Every pass, the same count as [`RetimeTotals::fallbacks`]; the other two
+    /// `flat_by_*` fields stay 0.
     pub flat_by_seeds: usize,
     /// Always 0; see [`RetimeTotals::flat_by_seeds`].
     pub flat_by_model: usize,
@@ -674,10 +672,9 @@ pub struct RetimeTotals {
 impl RetimeTotals {
     /// Folds one pass's stats into the totals.
     pub fn absorb(&mut self, s: &crate::RetimeStats) {
-        let flat = usize::from(s.kind == crate::RetimeKind::Flat);
         self.passes += 1;
-        self.fallbacks += flat;
-        self.flat_by_seeds += flat;
+        self.fallbacks += 1;
+        self.flat_by_seeds += 1;
         self.seed_nodes += s.seed_nodes;
         self.cone_nodes += s.cone_nodes;
         self.cone_edges += s.cone_edges;
@@ -700,7 +697,7 @@ impl RetimeTotals {
         self.flat_by_cap += o.flat_by_cap;
     }
 
-    /// Mean cone size per pass (0 when no pass ran).
+    /// Mean nodes relaxed per pass (0 when no pass ran).
     pub fn mean_cone(&self) -> f64 {
         if self.passes == 0 {
             0.0
@@ -811,11 +808,6 @@ impl SolveTrace {
                 self.retime.cone_edges,
                 self.retime.changed_nodes,
                 self.retime.mean_cone()
-            ));
-            s.push_str(&format!(
-                "  kernel mix: {} cone, {} flat\n",
-                self.retime.passes.saturating_sub(self.retime.fallbacks),
-                self.retime.fallbacks
             ));
         }
         for m in &self.migrations {
@@ -1201,12 +1193,12 @@ mod tests {
             final_length: 80.0,
             retime: RetimeTotals {
                 passes: 2,
-                fallbacks: 1,
+                fallbacks: 2,
                 seed_nodes: 2,
                 cone_nodes: 10,
                 cone_edges: 6,
                 changed_nodes: 3,
-                flat_by_seeds: 1,
+                flat_by_seeds: 2,
                 ..RetimeTotals::default()
             },
             ..SolveTrace::default()
@@ -1216,9 +1208,11 @@ mod tests {
         assert!(s.contains("T1 T2"));
         assert!(s.contains("T2 : P2 -> P1"));
         assert!(s.contains("100.00 -> final length: 80.00 (1 migrations)"));
-        assert!(s.contains("re-timing: 2 passes, 2 seeds"));
-        assert!(s.contains("mean cone 5.0"));
-        assert!(s.contains("kernel mix: 1 cone, 1 flat"));
+        assert!(s.contains(
+            "re-timing: 2 passes, 2 seeds -> 10 cone nodes / 6 cone edges, 3 changed \
+             (mean cone 5.0)\n"
+        ));
+        assert!(!s.contains("kernel mix"));
         // Solvers that do not serialize have no serialized length to report.
         let constructive = SolveTrace {
             serialized_length: None,

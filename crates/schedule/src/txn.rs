@@ -15,15 +15,16 @@
 //! the outer one.  Committing the outermost transaction discards the log; committing
 //! an inner one keeps its entries so that an outer rollback still undoes them.
 //!
-//! The same mutation hooks also feed the *dirty-node* list consumed by the
-//! incremental re-timing pass ([`ScheduleBuilder::recompute_times_from`]): every
-//! operation marks the decision-graph nodes whose predecessor set it changed, so the
-//! cone kernel knows exactly which cone to relax and the flat sweep knows which
-//! tasks' messages to check.  Rolling a transaction back restores the dirty list to
-//! its pre-transaction contents, entry for entry and in order.
+//! The same mutation hooks also feed the *dirty list* read by the incremental
+//! re-timing pass ([`ScheduleBuilder::recompute_times_incremental`]): every placement
+//! marks its task (and the task that now follows it on its processor) and every route
+//! change marks the message's consumer, so the flat sweep knows which tasks' messages
+//! to check, and an empty list means nothing changed since the last re-timing.  Rolling
+//! a transaction back restores the dirty list to its pre-transaction contents, entry
+//! for entry and in order.
 //!
 //! The list is a sparse set (Briggs & Torczon, "An Efficient Representation for
-//! Sparse Sets", 1993): each node's stamp is its position in the list, and a node is
+//! Sparse Sets", 1993): each task's stamp is its position in the list, and a task is
 //! dirty iff the list holds it at that position.  Between re-timings the list only
 //! grows, so a [`Txn`] records just its length and rollback truncates back to it —
 //! no copy, no stamp writes.  A transaction therefore costs its own operations, not
@@ -36,19 +37,6 @@ use crate::builder::ScheduleBuilder;
 use crate::schedule::MessageHop;
 use bsa_network::ProcId;
 use bsa_taskgraph::{EdgeId, TaskId};
-
-/// A node of the decision graph: either a task or one hop of a message route.
-///
-/// The incremental re-timing pass relaxes over these nodes; the mutation layer marks
-/// them dirty whenever their predecessor set (processor order, link order, route
-/// shape) changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum DirtyNode {
-    /// The execution of a task on its assigned processor.
-    Task(TaskId),
-    /// Hop `k` (0-based) of the route of an edge.
-    Hop(EdgeId, u32),
-}
 
 /// One reverse operation in the undo log.
 #[derive(Debug, Clone)]
@@ -188,43 +176,25 @@ impl<'a> ScheduleBuilder<'a> {
         }
     }
 
-    /// Marks a decision-graph node as needing re-timing.  Deduplicated in O(1) via the
-    /// position stamps: a node already in the dirty list is not pushed again, so bulk
-    /// mutation batches stay proportional to the number of *distinct* dirty nodes, not
-    /// to the number of mutations.
-    pub(crate) fn mark_dirty(&mut self, node: DirtyNode) {
-        if !self.is_dirty(node) {
-            self.push_dirty(node);
+    /// Marks task `t` as needing re-timing.  Deduplicated in O(1) via the position
+    /// stamps: a task already in the dirty list is not pushed again, so bulk mutation
+    /// batches stay proportional to the number of *distinct* dirty tasks, not to the
+    /// number of mutations.
+    pub(crate) fn mark_dirty(&mut self, t: TaskId) {
+        if !self.is_dirty(t) {
+            self.push_dirty(t);
         }
     }
 
-    /// Whether `node` is in the dirty list: its position stamp points at itself.
-    pub(crate) fn is_dirty(&self, node: DirtyNode) -> bool {
-        let stamp = match node {
-            DirtyNode::Task(t) => self.task_dirty_stamp[t.index()],
-            DirtyNode::Hop(e, k) => match self.hop_dirty_stamp[e.index()].get(k as usize) {
-                Some(&stamp) => stamp,
-                None => return false,
-            },
-        };
-        self.dirty.get(stamp) == Some(&node)
+    /// Whether task `t` is in the dirty list: its position stamp points at itself.
+    pub(crate) fn is_dirty(&self, t: TaskId) -> bool {
+        self.dirty.get(self.dirty_stamp[t.index()]) == Some(&t)
     }
 
-    /// Appends `node` to the dirty list and stamps it with its position.  Hop stamp
-    /// storage is grow-only, like the scaffold's slot maps.
-    fn push_dirty(&mut self, node: DirtyNode) {
-        let pos = self.dirty.len();
-        match node {
-            DirtyNode::Task(t) => self.task_dirty_stamp[t.index()] = pos,
-            DirtyNode::Hop(e, k) => {
-                let marks = &mut self.hop_dirty_stamp[e.index()];
-                if marks.len() <= k as usize {
-                    marks.resize(k as usize + 1, 0);
-                }
-                marks[k as usize] = pos;
-            }
-        }
-        self.dirty.push(node);
+    /// Appends task `t` to the dirty list and stamps it with its position.
+    fn push_dirty(&mut self, t: TaskId) {
+        self.dirty_stamp[t.index()] = self.dirty.len();
+        self.dirty.push(t);
     }
 
     /// Empties the dirty list (a re-timing pass consumed it), with no stamp writes.
@@ -365,7 +335,6 @@ impl<'a> ScheduleBuilder<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::DirtyNode;
     use crate::builder::ScheduleBuilder;
     use crate::schedule::MessageHop;
     use bsa_network::builders::ring;
@@ -486,7 +455,7 @@ mod tests {
 
     /// The chain on P0, re-timed once and then with every task moved, so three dirty
     /// tasks are pending, listed out of id order: `[T2, T1, T0]`.
-    fn pending_dirt(b: &mut ScheduleBuilder<'_>) -> Vec<DirtyNode> {
+    fn pending_dirt(b: &mut ScheduleBuilder<'_>) -> Vec<TaskId> {
         b.place_task(TaskId(0), ProcId(0), 5.0);
         b.place_task(TaskId(1), ProcId(0), 20.0);
         b.place_task(TaskId(2), ProcId(0), 50.0);
@@ -495,11 +464,7 @@ mod tests {
             b.unplace_task(TaskId(t));
             b.place_task(TaskId(t), ProcId(0), start);
         }
-        let pending = vec![
-            DirtyNode::Task(TaskId(2)),
-            DirtyNode::Task(TaskId(1)),
-            DirtyNode::Task(TaskId(0)),
-        ];
+        let pending = vec![TaskId(2), TaskId(1), TaskId(0)];
         assert_eq!(b.dirty, pending);
         pending
     }
@@ -573,27 +538,32 @@ mod tests {
         let g = chain_graph();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        let mut expected = pending_dirt(&mut b);
+        pending_dirt(&mut b);
+        b.recompute_times_incremental().unwrap();
+        // Stale stamps everywhere: T2 at 0, T1 at 1, T0 at 2.  Only T2 is pending now.
+        bounce_last(&mut b, 70.0);
+        let mut expected = vec![TaskId(2)];
+        assert_eq!(b.dirty, expected);
 
         // Inside the transaction the re-timing pass empties the list, so T0 is pushed
-        // again at position 0 (overwriting its stamp) and the hop is new.
+        // again at position 0 (overwriting its stamp) and the hop's consumer T1 at 1.
         let txn = b.begin_txn();
         b.recompute_times_incremental().unwrap();
-        b.mark_dirty(DirtyNode::Task(TaskId(0)));
+        b.mark_dirty(TaskId(0));
         b.push_hop(EdgeId(0), hop(0, 0, 1, 200.0, 205.0));
+        assert_eq!(b.dirty, vec![TaskId(0), TaskId(1)]);
         b.rollback(txn);
         assert_eq!(b.dirty, expected);
 
         // Survivors are not duplicated, whatever their stamps went through …
-        for &node in &expected.clone() {
-            b.mark_dirty(node);
-        }
+        b.mark_dirty(TaskId(2));
         assert_eq!(b.dirty, expected);
-        // … and a node the rollback removed comes back exactly once.
-        let hop0 = DirtyNode::Hop(EdgeId(0), 0);
-        b.mark_dirty(hop0);
-        b.mark_dirty(hop0);
-        expected.push(hop0);
+        // … and the tasks the rollback removed come back exactly once: T0's stamp points
+        // at T2, T1's past the end.
+        for t in [TaskId(0), TaskId(0), TaskId(1), TaskId(1)] {
+            b.mark_dirty(t);
+        }
+        expected.extend([TaskId(0), TaskId(1)]);
         assert_eq!(b.dirty, expected);
     }
 

@@ -143,12 +143,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------------
-// Incremental scheduling kernel: dirty-cone re-timing vs the full Kahn oracle, and
+// Incremental scheduling kernel: flat-sweep re-timing vs the full Kahn oracle, and
 // transaction rollback byte-equality.  See docs/DESIGN.md §7.
 // ---------------------------------------------------------------------------------
 
 use bsa::baselines::message_router::{commit_route, route_message};
-use bsa::schedule::ScheduleBuilder;
+use bsa::schedule::{RecomputeError, ScheduleBuilder};
 use rand::Rng;
 
 /// Builds a valid partial schedule by placing every task in topological order on a
@@ -184,8 +184,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// After any random sequence of migrations (a full BSA run *is* one), the
-    /// incremental dirty-cone kernel produces timings identical — bit for bit — to the
-    /// full Kahn relaxation oracle.
+    /// incremental flat sweep produces timings identical — bit for bit — to the full
+    /// Kahn relaxation oracle.
     #[test]
     fn incremental_retiming_matches_the_full_kahn_oracle((n, gran, seed) in dag_params()) {
         let graph = build_graph(n, gran, seed);
@@ -400,17 +400,18 @@ proptest! {
         }
     }
 
-    /// Whichever kernel runs — the cone kernel below the 64-node floor, the flat sweep
-    /// over the reduced graph above it — the committed timings must be byte-identical
-    /// to the full-relaxation oracle.  `n` straddles the floor (tasks plus booked
-    /// hops), and `frac` sweeps the dirty-seed count from a few nodes to the whole
-    /// schedule, so both kernels see small and bulk mutation batches.
+    /// The flat sweep's committed timings are byte-identical to the full-relaxation
+    /// oracle's, and so are its errors.  `n` reaches below the 64-node floor that once
+    /// routed small graphs to a separate kernel, and `frac` sweeps the dirty-task count
+    /// from a few tasks to the whole schedule.  About one draw in four then unplaces a
+    /// task, which both paths must reject alike without touching the builder.
     #[test]
     fn every_retime_kernel_is_byte_identical_to_the_oracle(
         n in 24usize..110,
         gran in prop_oneof![Just(0.1), Just(1.0), Just(10.0)],
         seed in any::<u64>(),
         frac in 0.02f64..1.0,
+        unplace in 0u8..4,
     ) {
         let graph = build_graph(n, gran, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
@@ -443,19 +444,36 @@ proptest! {
         match (&inc, &orc) {
             (Ok(stats), Ok(())) => prop_assert!(
                 builder.same_schedule_state(&oracle),
-                "kernel {:?} diverged from the oracle ({} seeds)",
-                stats.kind,
+                "the sweep diverged from the oracle ({} dirty tasks)",
                 stats.seed_nodes
             ),
-            (Err(_), Err(_)) => {
+            (Err(inc_err), Err(orc_err)) => {
                 // A front-moved task can order a processor predecessor after itself;
-                // both kernels must reject the cycle and leave the builder untouched.
+                // both paths must report the cycle and leave the builder untouched.
+                prop_assert_eq!(inc_err, orc_err);
                 prop_assert!(
                     builder.same_schedule_state(&oracle),
                     "error paths must leave both builders in the same (pre-pass) state"
                 );
             }
             _ => prop_assert!(false, "kernel disagreement: {inc:?} vs {orc:?}"),
+        }
+
+        if unplace == 0 {
+            let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+            builder.unplace_task(t);
+            let snapshot = builder.clone();
+            let mut oracle = builder.clone();
+            prop_assert_eq!(
+                builder.recompute_times_incremental().err(),
+                Some(RecomputeError::UnplacedTask(t))
+            );
+            prop_assert_eq!(
+                oracle.recompute_times().err(),
+                Some(RecomputeError::UnplacedTask(t))
+            );
+            prop_assert!(builder.same_schedule_state(&snapshot));
+            prop_assert!(oracle.same_schedule_state(&snapshot));
         }
     }
 

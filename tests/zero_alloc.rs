@@ -1,11 +1,11 @@
-//! Steady-state allocation audit of the incremental re-timing kernel.
+//! Steady-state allocation audit of the incremental re-timing sweep.
 //!
-//! The dirty-cone pass runs on persistent scaffolding (epoch-stamped slot maps,
-//! `clear()`-reused arenas, watermark-based undo stacks — DESIGN.md §7.5), so once a
-//! run's arenas reach their high-water capacity, `recompute_times_incremental` must not
-//! touch the heap at all.  This test pins that down with a counting global allocator:
-//! after a warm-up storm, every further pass — inside and outside transactions, with
-//! task and hop cones — must report **zero** allocations and zero frees.  So must a
+//! The flat sweep runs on persistent scaffolding (`clear()`-reused arenas,
+//! watermark-based undo stacks — DESIGN.md §7.5), so once a run's arenas reach their
+//! high-water capacity, `recompute_times_incremental` must not touch the heap at all.
+//! This test pins that down with a counting global allocator: after a warm-up storm,
+//! every further pass — inside and outside transactions, after task moves, re-routed
+//! messages and bulk dirt — must report **zero** allocations and zero frees.  So must a
 //! speculative transaction opened over a long pending dirty list.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
@@ -15,7 +15,7 @@
 use bsa::network::builders::ring;
 use bsa::network::{HeterogeneousSystem, LinkId, ProcId};
 use bsa::schedule::schedule::MessageHop;
-use bsa::schedule::{RetimeKind, ScheduleBuilder};
+use bsa::schedule::ScheduleBuilder;
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,11 +75,8 @@ fn heap_events() -> (u64, u64) {
 #[test]
 fn steady_state_incremental_retiming_does_not_allocate() {
     COUNTED.with(|c| c.set(true));
-    // 101 tasks: two independent 49-task chains pinned to P0/P1, a routed producer/
-    // consumer pair, and one isolated spare task, so passes cover processor order,
-    // local messages, and link hops.  While the spare is unplaced every pass runs the
-    // cone kernel; once it is placed, every pass runs the flat sweep (the graph is
-    // far above the 64-node floor).
+    // 100 tasks: two independent 49-task chains pinned to P0/P1 and a routed producer/
+    // consumer pair, so passes cover processor order, local messages, and link hops.
     let mut gb = TaskGraphBuilder::new();
     let producer = gb.add_task("producer", 8.0);
     let consumer = gb.add_task("consumer", 8.0);
@@ -94,7 +91,6 @@ fn steady_state_incremental_retiming_does_not_allocate() {
             prev = t;
         }
     }
-    let spare = gb.add_task("spare", 5.0);
     let graph = gb.build().unwrap();
     let system = HeterogeneousSystem::homogeneous(&graph, ring(2).unwrap());
     let mut b = ScheduleBuilder::new(&graph, &system).unwrap();
@@ -157,19 +153,16 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         "speculation over a pending dirty list allocated in steady state"
     );
 
-    assert_eq!(
-        b.recompute_times_incremental().unwrap().kind,
-        RetimeKind::Cone
-    );
+    b.recompute_times_incremental().unwrap();
 
     // One "migration-shaped" iteration: bounce the *last* task of chain 0 (no
     // successors, so the reorder stays acyclic) to a far-future slot inside a
     // transaction, re-time, commit; then re-book the producer's message and re-time
     // outside any transaction (a hop -> consumer cascade).  Same shape every time, so
-    // capacity high-water marks stop moving after the warm-up, and each kernel gets
+    // capacity high-water marks stop moving after the warm-up, and the sweep gets
     // audited from both contexts.
     let victim = TaskId(50);
-    let iteration = |b: &mut ScheduleBuilder<'_>, audit: Option<RetimeKind>| {
+    let iteration = |b: &mut ScheduleBuilder<'_>, audit: bool| {
         let txn = b.begin_txn();
         let p = b.proc_of(victim).unwrap();
         b.unplace_task(victim);
@@ -179,9 +172,8 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         let before = heap_events();
         let stats = b.recompute_times_incremental().unwrap();
         let after = heap_events();
-        if let Some(kind) = audit {
+        if audit {
             assert!(stats.cone_nodes > 0, "the storm must exercise real passes");
-            assert_eq!(stats.kind, kind);
             assert_eq!(
                 (after.0 - before.0, after.1 - before.1),
                 (0, 0),
@@ -204,8 +196,7 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         let before = heap_events();
         let stats = b.recompute_times_incremental().unwrap();
         let after = heap_events();
-        if let Some(kind) = audit {
-            assert_eq!(stats.kind, kind);
+        if audit {
             assert!(
                 stats.cone_nodes >= 2,
                 "the pass relaxes at least the hop and the consumer"
@@ -219,11 +210,11 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     };
 
     // Steady-state *resolve*: the warm-start repair kernel is exactly
-    // evict → re-place → re-book → `recompute_times_from(frontier)` on a persistent
+    // evict → re-place → re-book → `recompute_times_incremental` on a persistent
     // builder, so repeated small deltas must reuse the same scaffolding.  The audit
     // window again brackets only the re-timing pass — eviction and booking go through
     // the undo log and route vectors, whose `vec![...]` literals allocate by design.
-    let resolve_shaped = |b: &mut ScheduleBuilder<'_>, audit: Option<RetimeKind>| {
+    let resolve_shaped = |b: &mut ScheduleBuilder<'_>, audit: bool| {
         let txn = b.begin_txn();
         let p = b.proc_of(consumer).unwrap();
         b.evict_task(consumer);
@@ -242,10 +233,10 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         let start = b.earliest_proc_slot(p, ready, exec);
         b.place_task(consumer, p, start);
         let before = heap_events();
-        let stats = b.recompute_times_from(&[consumer]).unwrap();
+        let stats = b.recompute_times_incremental().unwrap();
         let after = heap_events();
-        if let Some(kind) = audit {
-            assert_eq!(stats.kind, kind);
+        if audit {
+            assert!(stats.seed_nodes > 0, "the repair must leave dirty tasks");
             assert_eq!(
                 (after.0 - before.0, after.1 - before.1),
                 (0, 0),
@@ -259,7 +250,7 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     // dirty, the shape of a freshly built or freshly repaired schedule.  The audit
     // window again brackets only the re-timing call — the bounce itself goes through
     // the undo log, which allocates by design.
-    let bulk_shaped = |b: &mut ScheduleBuilder<'_>, audit: Option<RetimeKind>| {
+    let bulk_shaped = |b: &mut ScheduleBuilder<'_>, audit: bool| {
         let txn = b.begin_txn();
         for t in graph.task_ids().skip(2).take(98) {
             let p = b.proc_of(t).unwrap();
@@ -270,8 +261,8 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         let before = heap_events();
         let stats = b.recompute_times_incremental().unwrap();
         let after = heap_events();
-        if let Some(kind) = audit {
-            assert_eq!(stats.kind, kind);
+        if audit {
+            assert!(stats.seed_nodes >= 98, "the bounce must dirty both chains");
             assert_eq!(
                 (after.0 - before.0, after.1 - before.1),
                 (0, 0),
@@ -283,30 +274,24 @@ fn steady_state_incremental_retiming_does_not_allocate() {
 
     // Each shape warms up, then is audited; the release-build observable counter must
     // agree that no arena grew after warm-up.
-    let audit = |b: &mut ScheduleBuilder<'_>, kind: RetimeKind| {
-        for shape in 0..3 {
-            let shape = |b: &mut ScheduleBuilder<'_>, audit| match shape {
-                0 => iteration(b, audit),
-                1 => resolve_shaped(b, audit),
-                _ => bulk_shaped(b, audit),
-            };
-            for _ in 0..5 {
-                shape(b, None);
-            }
-            let grown_before = b.scaffold_realloc_events();
-            for _ in 0..10 {
-                shape(b, Some(kind));
-            }
-            assert_eq!(
-                b.scaffold_realloc_events(),
-                grown_before,
-                "{kind:?} passes grew an arena after warm-up"
-            );
-            assert!(b.scaffold_matches_rebuild());
+    for shape in 0..3 {
+        let shape = |b: &mut ScheduleBuilder<'_>, audit| match shape {
+            0 => iteration(b, audit),
+            1 => resolve_shaped(b, audit),
+            _ => bulk_shaped(b, audit),
+        };
+        for _ in 0..5 {
+            shape(&mut b, false);
         }
-    };
-    audit(&mut b, RetimeKind::Cone);
-    b.place_task(spare, ProcId(1), b.proc_timeline(ProcId(1)).last_finish());
-    b.recompute_times_incremental().unwrap();
-    audit(&mut b, RetimeKind::Flat);
+        let grown_before = b.scaffold_realloc_events();
+        for _ in 0..10 {
+            shape(&mut b, true);
+        }
+        assert_eq!(
+            b.scaffold_realloc_events(),
+            grown_before,
+            "passes grew an arena after warm-up"
+        );
+        assert!(b.scaffold_matches_rebuild());
+    }
 }
