@@ -21,11 +21,13 @@
 //!
 //! Routing is pluggable: the [`bsa_network::CommModel`] is built from
 //! [`SolveOptions::route_policy`], so the same DLS can route by hop count (the
-//! default, the classical behaviour) or by actual transfer time.
+//! default, the classical behaviour), by actual transfer time, or, on hypercubes, by
+//! E-cube ([`bsa_network::RoutePolicy::ECube`]).  Candidates are priced read-only with
+//! [`data_available_time`] and the winner's messages booked with [`book_incoming`].
 
-use crate::message_router::{commit_route, data_available_time, route_message};
 use crate::session::{assemble, check_budget, emit, observer_outcome};
-use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
+use bsa_network::ProcId;
+use bsa_schedule::router::{book_incoming, data_available_time};
 use bsa_schedule::solver::{
     BudgetMeter, Problem, Progress, Solution, SolveError, SolveEvent, SolveOptions, Solver,
 };
@@ -33,30 +35,12 @@ use bsa_taskgraph::{GraphLevels, TaskId};
 
 /// The DLS scheduler.
 #[derive(Debug, Clone, Default)]
-pub struct Dls {
-    /// Use E-cube routing instead of BFS shortest paths when the topology is a hypercube
-    /// and the options carry the default policy.  Both are shortest, so this only
-    /// affects tie-breaking among routes; kept for parity with the paper's remark about
-    /// static routing schemes.  An explicit non-default
-    /// [`SolveOptions::route_policy`] wins over this flag.
-    pub use_ecube_on_hypercubes: bool,
-}
+pub struct Dls;
 
 impl Dls {
-    /// Creates a DLS scheduler with default options.
+    /// Creates a DLS scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn comm_model(&self, system: &HeterogeneousSystem, options: &SolveOptions) -> CommModel {
-        let policy =
-            if self.use_ecube_on_hypercubes && options.route_policy == RoutePolicy::ShortestHop {
-                // `CommModel::build` falls back to shortest-hop off hypercubes.
-                RoutePolicy::ECube
-            } else {
-                options.route_policy
-            };
-        options.comm_model_for(system, policy)
+        Dls
     }
 }
 
@@ -75,7 +59,7 @@ impl Solver for Dls {
         let graph = problem.graph();
         let system = problem.system();
         let mut builder = problem.builder();
-        let table = self.comm_model(system, options);
+        let table = options.comm_model(system);
         let n = graph.num_tasks();
 
         // Static levels over median execution costs (communication ignored).
@@ -103,7 +87,7 @@ impl Solver for Dls {
             for &t in &ready {
                 let median = system.exec_costs.median_cost(t);
                 for p in system.topology.proc_ids() {
-                    let da = data_available_time(&mut builder, &table, t, p);
+                    let da = data_available_time(&builder, &table, t, p);
                     let tf = builder.proc_timeline(p).last_finish();
                     let delta = median - system.exec_cost(t, p);
                     let dl = static_level[t.index()] - da.max(tf) + delta;
@@ -124,17 +108,7 @@ impl Solver for Dls {
             let (t, p, _) = best.expect("ready set is non-empty");
 
             // Commit: route every incoming message for real, then append the task.
-            let mut da = 0.0f64;
-            for &eid in graph.in_edges(t) {
-                let e = graph.edge(eid);
-                let sp = builder
-                    .proc_of(e.src)
-                    .expect("predecessors scheduled first");
-                let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
-                commit_route(&mut builder, eid, hops);
-                da = da.max(arrival);
-            }
+            let da = book_incoming(&mut builder, &table, t, p);
             let start = builder.earliest_proc_append(p, da);
             builder.place_task(t, p, start);
             if !emit(
@@ -181,7 +155,10 @@ impl Solver for Dls {
 mod tests {
     use super::*;
     use bsa_network::builders::{clique, hypercube_for, ring};
-    use bsa_network::{CommCostModel, ExecutionCostMatrix, HeterogeneityRange};
+    use bsa_network::{
+        CommCostModel, ExecutionCostMatrix, HeterogeneityRange, HeterogeneousSystem, RoutePolicy,
+    };
+    use bsa_schedule::solver::NoProgress;
     use bsa_schedule::validate::assert_valid;
     use bsa_schedule::Schedule;
     use bsa_taskgraph::{TaskGraph, TaskGraphBuilder};
@@ -296,10 +273,12 @@ mod tests {
             HeterogeneityRange::homogeneous(),
             &mut rng,
         );
-        let dls = Dls {
-            use_ecube_on_hypercubes: true,
-        };
-        let s = solve(&dls, &g, &sys);
+        let problem = Problem::new(&g, &sys).unwrap();
+        let options = SolveOptions::default().with_route_policy(RoutePolicy::ECube);
+        let s = Dls
+            .solve(&problem, &options, &mut NoProgress)
+            .unwrap()
+            .schedule;
         assert_valid(&s, &g, &sys);
     }
 }

@@ -14,9 +14,9 @@
 //!   message-ready order).  The gap between the two variants quantifies how much ignoring
 //!   link contention costs — the paper's core motivation (ablation A3 in DESIGN.md).
 
-use crate::message_router::{commit_route, route_message};
 use crate::session::{assemble, check_budget, emit, observer_outcome};
 use bsa_network::{HeterogeneousSystem, ProcId};
+use bsa_schedule::router::{book_incoming, data_available_time};
 use bsa_schedule::solver::{
     BudgetMeter, Problem, Progress, Solution, SolveError, SolveEvent, SolveOptions, Solver,
 };
@@ -85,14 +85,7 @@ impl Solver for Heft {
             check_budget(&meter)?;
             let mut best: Option<(ProcId, f64, f64)> = None; // (proc, start, finish)
             for p in system.topology.proc_ids() {
-                let mut da = 0.0f64;
-                for &eid in graph.in_edges(t) {
-                    let e = graph.edge(eid);
-                    let sp = builder.proc_of(e.src).expect("preds scheduled first");
-                    let ready = builder.finish_of(e.src);
-                    let (_, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
-                    da = da.max(arrival);
-                }
+                let da = data_available_time(&builder, &table, t, p);
                 let exec = builder.exec_cost(t, p);
                 let start = builder.earliest_proc_slot(p, da, exec);
                 let finish = start + exec;
@@ -103,15 +96,7 @@ impl Solver for Heft {
             }
             let (p, _, _) = best.expect("at least one processor exists");
             // Commit messages and placement for the chosen processor.
-            let mut da = 0.0f64;
-            for &eid in graph.in_edges(t) {
-                let e = graph.edge(eid);
-                let sp = builder.proc_of(e.src).expect("preds scheduled first");
-                let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
-                commit_route(&mut builder, eid, hops);
-                da = da.max(arrival);
-            }
+            let da = book_incoming(&mut builder, &table, t, p);
             let exec = builder.exec_cost(t, p);
             let start = builder.earliest_proc_slot(p, da, exec);
             builder.place_task(t, p, start);
@@ -272,15 +257,7 @@ impl Solver for ContentionObliviousHeft {
         while let Some(t) = ready.pop() {
             check_budget(&meter)?;
             let p = assignment[t.index()];
-            let mut da = 0.0f64;
-            for &eid in graph.in_edges(t) {
-                let e = graph.edge(eid);
-                let sp = assignment[e.src.index()];
-                let ready = builder.finish_of(e.src);
-                let (hops, arrival) = route_message(&mut builder, &table, eid, sp, p, ready);
-                commit_route(&mut builder, eid, hops);
-                da = da.max(arrival);
-            }
+            let da = book_incoming(&mut builder, &table, t, p);
             let start = builder.earliest_proc_append(p, da);
             builder.place_task(t, p, start);
             placed += 1;

@@ -29,7 +29,6 @@
 
 pub mod dls;
 pub mod heft;
-pub mod message_router;
 pub mod reference;
 pub(crate) mod session;
 

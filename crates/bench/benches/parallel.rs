@@ -1,10 +1,10 @@
 //! Parallel-solve benchmark: wall-clock of portfolio racing against its sequential
 //! sweep, with a determinism cross-check on every cell.
 //!
-//! The one parallel layer, **portfolio** — the standard four-entry BSA racing roster
-//! (`bsa::algorithms::standard_portfolio`) under [`RaceStrategy::BestOfAll`], whose
-//! winner is deterministic at any worker count — is measured over random layered DAGs
-//! on a 16-processor hypercube.  `schedules_equal` compares every placement against
+//! The one parallel layer, **portfolio** — the standard two-entry BSA racing roster
+//! (`bsa::algorithms::standard_portfolio`, one entry per route policy) under
+//! [`RaceStrategy::BestOfAll`], whose winner is deterministic at any worker count — is
+//! measured over random layered DAGs on a 16-processor hypercube.  `schedules_equal` compares every placement against
 //! the 1-worker sweep of the same cell.
 //!
 //! Speedups are relative to the 1-thread cell of the same task count and are

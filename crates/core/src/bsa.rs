@@ -17,10 +17,11 @@
 //! in the paper.  Under a cost-aware policy
 //! ([`RoutePolicy::MinTransferTime`] in [`SolveOptions::route_policy`]) the loop
 //! additionally consults the same [`CommModel`] handle the baselines route over: every
-//! re-routed message also evaluates a full reroute along the policy's route (booked
-//! speculatively through [`bsa_schedule::router`]) and takes it when it arrives
-//! earlier — on heavily heterogeneous links the hop-by-hop extension can pile onto a
-//! slow link that a slightly longer route avoids entirely.
+//! re-routed message also evaluates a full reroute along the policy's route (priced by
+//! [`bsa_schedule::router`] inside a speculation that hides the message's current
+//! route) and takes it when it arrives earlier — on heavily heterogeneous links the
+//! hop-by-hop extension can pile onto a slow link that a slightly longer route avoids
+//! entirely.
 //!
 //! Both the neighbour evaluation and the migration itself run on the transactional
 //! kernel of `bsa_schedule` (see DESIGN.md §7): a neighbour is evaluated by *actually
@@ -38,7 +39,7 @@ use crate::config::{BsaConfig, RetimingMode};
 use crate::pivot::select_pivot;
 use crate::serialization::serialize;
 use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
-use bsa_schedule::router::{commit_route, route_message};
+use bsa_schedule::router::route_message;
 use bsa_schedule::schedule::MessageHop;
 use bsa_schedule::solver::{
     BudgetMeter, IncumbentRecord, MigrationRecord, Problem, Progress, Provenance, RetimeTotals,
@@ -437,8 +438,8 @@ fn estimate_finish_on_neighbor(
 /// (or [`ScheduleBuilder::speculate`]) can undo the whole move.
 ///
 /// With a cost-aware `comm` model, every re-routed message additionally evaluates a
-/// full reroute along the model's route (the same [`bsa_schedule::router`] booking the
-/// baselines use) and takes it when it arrives strictly earlier.
+/// full reroute along the model's route (priced by the same [`bsa_schedule::router`]
+/// walk the baselines use) and takes it when it arrives strictly earlier.
 ///
 /// [`Txn`]: bsa_schedule::Txn
 #[allow(clippy::too_many_arguments)]
@@ -513,17 +514,17 @@ fn migrate(
             None
         };
         // Option C (cost-aware policies only): a full reroute along the communication
-        // model's route from the producer to py, booked speculatively so the arrival
-        // reflects real contention.  Skipped when the policy route is the direct link
-        // option B already prices.
+        // model's route from the producer to py, priced against the current link
+        // timelines with the message's own route hidden.  Skipped when the policy
+        // route is the direct link option B already prices.
         let policy_route = comm
             .filter(|cm| cm.hops(src_proc, py) > 1)
-            .map(|cm| route_message(builder, cm, eid, src_proc, py, src_finish));
+            .map(|cm| price_reroute(builder, cm, eid, src_proc, py, src_finish));
         let arrival = match (direct, policy_route) {
             (_, Some((hops, a)))
                 if a < via_pivot_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
             {
-                commit_route(builder, eid, hops);
+                builder.set_route(eid, hops);
                 a
             }
             (Some((dl, s, a)), _) if a < via_pivot_arrival => {
@@ -618,12 +619,12 @@ fn migrate(
             });
         let policy_route = comm
             .filter(|cm| cm.hops(py, dst_proc) > 1)
-            .map(|cm| route_message(builder, cm, eid, py, dst_proc, ft));
+            .map(|cm| price_reroute(builder, cm, eid, py, dst_proc, ft));
         match (direct, policy_route) {
             (_, Some((hops, a)))
                 if a < extend_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
             {
-                commit_route(builder, eid, hops);
+                builder.set_route(eid, hops);
             }
             (Some((dl, s, a)), _) if a < extend_arrival => {
                 builder.set_route(
@@ -650,6 +651,23 @@ fn migrate(
             }
         }
     }
+}
+
+/// Prices a full reroute of edge `e` from `src` to `dst` along `comm`'s route.  The
+/// edge's current route is cleared inside a speculation, so the new route does not
+/// contend with the edge's own old hops; the builder is left unchanged.
+fn price_reroute(
+    builder: &mut ScheduleBuilder<'_>,
+    comm: &CommModel,
+    e: EdgeId,
+    src: ProcId,
+    dst: ProcId,
+    ready: f64,
+) -> (Vec<MessageHop>, f64) {
+    builder.speculate(|b| {
+        b.clear_route(e);
+        route_message(b, comm, e, src, dst, ready)
+    })
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! Lifecycle of a session: `submit` (or `delta`) decodes and validates the work
 //! **synchronously** — so cache hits and rejections are visible at submit time — then
 //! enqueues it.  Workers pop sessions FIFO, run the solve streaming events into the
-//! session's buffer, and park the outcome.  A completed session stays registered (its
+//! session's buffer, and park the outcome; a solve that panics parks an `internal`
+//! error instead, and the worker serves on.  A completed session stays registered (its
 //! solution is the warm-start base for `delta`) until the client `release`s it or the
 //! daemon shuts down; the registry therefore returns to its baseline size exactly when
 //! clients release what they submitted.
@@ -31,6 +32,7 @@ use bsa::schedule::{
 use bsa::taskgraph::TaskGraph;
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -691,50 +693,13 @@ impl Engine {
             .expect("session lock")
             .take()
             .expect("a queued session has exactly one unit of work");
-        let outcome = match work {
-            Work::Solve {
-                instance,
-                solver,
-                options,
-            } => {
-                let result = {
-                    let problem = instance.problem();
-                    let mut progress = |event: &SolveEvent| {
-                        let mut shared = session.shared.lock().expect("session lock");
-                        shared.events.push(wire::encode_event(event));
-                        session.cond.notify_all();
-                        ControlFlow::Continue(())
-                    };
-                    solver.solve(&problem, &options, &mut progress)
-                };
-                result
-                    .map(|solution| SessionOutcome {
-                        instance,
-                        solution: Arc::new(solution),
-                    })
-                    .map_err(SessionFailure::Solve)
-            }
-            Work::Resolve {
-                base,
-                delta,
-                options,
-            } => {
-                let result = {
-                    let problem = base.instance.problem();
-                    base.solution.resolve(&problem, &delta, &options)
-                };
-                match result {
-                    Ok((update, solution)) => {
-                        let (graph, system) = update.into_parts();
-                        Ok(SessionOutcome {
-                            instance: Arc::new(ProblemInstance::prevalidated(graph, system)),
-                            solution: Arc::new(solution),
-                        })
-                    }
-                    Err(e) => Err(SessionFailure::Resolve(e)),
-                }
-            }
-        };
+        // A panicking solve ends only its own session, as an internal error: the
+        // session still reaches `Done` and the worker stays in the pool.
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| execute(session, work))).unwrap_or_else(|payload| {
+                let who = format!("session {} ({})", session.id, session.algo);
+                Err(SessionFailure::Solve(SolveError::panicked(&who, &*payload)))
+            });
         // Every success the daemon reports is validator-clean by construction: a
         // solution that fails full schedule validation is downgraded to an internal
         // error instead of being streamed to a client as a result.
@@ -1000,6 +965,54 @@ impl Engine {
     }
 }
 
+/// Runs a session's unit of work, streaming solver events into the session.
+fn execute(session: &Session, work: Work) -> Result<SessionOutcome, SessionFailure> {
+    match work {
+        Work::Solve {
+            instance,
+            solver,
+            options,
+        } => {
+            let result = {
+                let problem = instance.problem();
+                let mut progress = |event: &SolveEvent| {
+                    let mut shared = session.shared.lock().expect("session lock");
+                    shared.events.push(wire::encode_event(event));
+                    session.cond.notify_all();
+                    ControlFlow::Continue(())
+                };
+                solver.solve(&problem, &options, &mut progress)
+            };
+            result
+                .map(|solution| SessionOutcome {
+                    instance,
+                    solution: Arc::new(solution),
+                })
+                .map_err(SessionFailure::Solve)
+        }
+        Work::Resolve {
+            base,
+            delta,
+            options,
+        } => {
+            let result = {
+                let problem = base.instance.problem();
+                base.solution.resolve(&problem, &delta, &options)
+            };
+            match result {
+                Ok((update, solution)) => {
+                    let (graph, system) = update.into_parts();
+                    Ok(SessionOutcome {
+                        instance: Arc::new(ProblemInstance::prevalidated(graph, system)),
+                        solution: Arc::new(solution),
+                    })
+                }
+                Err(e) => Err(SessionFailure::Resolve(e)),
+            }
+        }
+    }
+}
+
 /// The stream-terminating `end` record: result summary on success, error body on
 /// failure.
 fn end_record(session: &Session, shared: &SessionShared) -> Value {
@@ -1208,6 +1221,72 @@ mod tests {
         assert_eq!(engine.session_count(), 0);
         assert_eq!(engine.tracked_clients(), 0);
         engine.shutdown();
+    }
+
+    /// A test-only solver whose every solve panics.
+    struct Panicking;
+
+    impl Solver for Panicking {
+        fn name(&self) -> &str {
+            "Panicking"
+        }
+
+        fn solve(
+            &self,
+            _problem: &Problem<'_>,
+            _options: &SolveOptions,
+            _progress: &mut dyn bsa::schedule::Progress,
+        ) -> Result<Solution, SolveError> {
+            panic!("injected solver panic")
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_ends_its_session_as_internal_and_the_worker_serves_on() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let (g, s) = tiny_instance();
+        let session = Arc::new(Session::new(
+            engine.next_id.fetch_add(1, Ordering::Relaxed),
+            1,
+            "panicking",
+            CancelToken::new(),
+            Work::Solve {
+                instance: Arc::new(ProblemInstance::validated(g.clone(), s.clone()).unwrap()),
+                solver: Box::new(Panicking),
+                options: SolveOptions::default(),
+            },
+        ));
+        engine.enqueue(Arc::clone(&session)).unwrap();
+        let mut seq = 0;
+        let end = loop {
+            match engine.next_stream_item(&session, seq) {
+                StreamItem::Event { .. } => seq += 1,
+                StreamItem::End { payload } => break payload,
+            }
+        };
+        assert_eq!(end.get("ok").and_then(Value::as_bool), Some(false));
+        let error = end.get("error").unwrap();
+        assert_eq!(error.get("kind").and_then(Value::as_str), Some("internal"));
+        let detail = error.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains("injected solver panic"), "{detail}");
+
+        // The only worker survived the panic: the next submit completes …
+        let info = engine
+            .submit(
+                1,
+                g,
+                s,
+                SolveOptions::default(),
+                AlgoChoice::Single(Algo::Dls),
+            )
+            .unwrap();
+        drain(&engine, info.session);
+        // … and shutdown drains the pool instead of waiting on a lost worker.
+        let summary = engine.shutdown();
+        assert_eq!(summary.get("sessions").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]

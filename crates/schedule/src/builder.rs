@@ -17,8 +17,8 @@
 //! reuses persistent arenas and checks only the messages of the tasks changed since
 //! the last re-timing.
 //!
-//! Speculative work (evaluating a candidate migration or message route without
-//! committing it) goes through the transactional API in [`crate::txn`]:
+//! Speculative work (evaluating a candidate migration or repair without committing it)
+//! goes through the transactional API in [`crate::txn`]:
 //! [`ScheduleBuilder::begin_txn`] / [`ScheduleBuilder::commit`] /
 //! [`ScheduleBuilder::rollback`], or the [`ScheduleBuilder::speculate`] wrapper.
 
@@ -388,8 +388,7 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Appends one hop to the route of edge `e`, booking its window on the hop's link
     /// timeline.  This is the incremental-routing primitive: BSA extends a migrating
-    /// task's message routes one hop at a time, and the baselines' tentative routing
-    /// builds candidate routes with it under [`ScheduleBuilder::speculate`].
+    /// task's message routes one hop at a time.
     ///
     /// # Panics
     /// Panics (in debug builds) if the hop's window overlaps existing traffic on the

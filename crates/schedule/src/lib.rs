@@ -29,7 +29,8 @@
 //!
 //! Message routing over a pre-computed table goes through [`router`], the one booking
 //! code path every [`bsa_network::CommModel`] consumer shares (DLS/HEFT message
-//! scheduling, BSA's cost-aware reroutes).  Link timelines are direction-aware: on a
+//! scheduling, BSA's cost-aware reroutes, warm re-solve repairs); it prices a route
+//! through a shared `&ScheduleBuilder`, without a transaction.  Link timelines are direction-aware: on a
 //! [`bsa_network::LinkMode::FullDuplex`] topology each link carries one contention
 //! timeline per direction, so opposite-direction transfers overlap freely — in the
 //! builder, the re-timing kernels, the validator and the Gantt renderer alike.

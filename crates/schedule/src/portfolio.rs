@@ -1,12 +1,12 @@
 //! Portfolio racing: run several solver configurations over one shared [`Problem`]
 //! on OS threads and keep the best answer.
 //!
-//! BSA's quality is configuration-sensitive — pivot strategy, re-timing mode, route
-//! policy and (for randomized solvers) the seed all shift the final schedule length —
-//! and no single configuration dominates across instances.  A [`Portfolio`] races N
-//! [`PortfolioEntry`] configurations concurrently over the *same* validated problem
-//! (sharable because `Problem` is `Send + Sync`, statically asserted in
-//! [`crate::solver`]):
+//! BSA's quality is configuration-sensitive — pivot strategy, route policy and (for
+//! randomized solvers) the seed all shift the final schedule length, while re-timing
+//! mode changes only the cost — and no single configuration dominates across
+//! instances.  A [`Portfolio`] races N [`PortfolioEntry`] configurations concurrently
+//! over the *same* validated problem (sharable because `Problem` is `Send + Sync`,
+//! statically asserted in [`crate::solver`]):
 //!
 //! * every entry solves under its own [`SolveOptions`], merged with the caller's
 //!   outer budgets (deadline, migration budget, cancellation);
@@ -46,13 +46,13 @@ const CANCEL_POLL: Duration = Duration::from_millis(5);
 
 /// One racing configuration: a solver plus the options it runs under.
 pub struct PortfolioEntry {
-    /// Human-readable label used in provenance ("bsa/full/min-transfer", …).
+    /// Human-readable label used in provenance ("bsa/min-transfer", …).
     pub label: String,
     /// The solver.  `Send + Sync` because the entry is solved on a worker thread
     /// while the portfolio (holding the roster) is borrowed by all of them.
     pub solver: Box<dyn Solver + Send + Sync>,
-    /// Per-entry options: re-timing mode and route policy live in the solver's own
-    /// configuration, while budgets and seed live here.  The caller's
+    /// Per-entry options: route policy, budgets and seed live here, while re-timing
+    /// mode and pivot strategy live in the solver's own configuration.  The caller's
     /// outer budgets are merged in at race time (the tighter of the two wins); the
     /// `cancel` slot is replaced by the race's private per-entry token.
     pub options: SolveOptions,
@@ -260,14 +260,8 @@ impl Solver for Portfolio {
                         entry.solver.solve(problem, &merged[i], &mut forward)
                     }))
                     .unwrap_or_else(|payload| {
-                        let cause = payload
-                            .downcast_ref::<&str>()
-                            .map(|m| m.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(SolveError::Internal {
-                            detail: format!("portfolio entry {} panicked: {cause}", entry.label),
-                        })
+                        let who = format!("portfolio entry {}", entry.label);
+                        Err(SolveError::panicked(&who, &*payload))
                     });
                     let _ = tx.send(Msg::Done {
                         config: i,

@@ -18,10 +18,12 @@
 //!    [`ScheduleBuilder`] mutation path, so the repair loop can speculate against the
 //!    adopted state exactly as the cold solver does.
 //! 3. **Repair** the evicted tasks in topological order: each candidate processor is
-//!    scored by speculatively booking the task's incoming messages (via the same
-//!    router as the cold path — routes over downed links are recomputed only for the
-//!    affected pairs) and placing the task in the earliest gap; the best finish wins,
-//!    ties to the lower processor id.
+//!    scored inside a speculation that books the task's incoming messages with
+//!    [`crate::router::book_incoming`] (the table-driven solvers' booking loop, so
+//!    each message sees the ones booked before it; routes over downed links are
+//!    recomputed only for the affected pairs) and places the task in the earliest
+//!    gap; the best finish wins, ties to the lower processor id, and the winner is
+//!    committed through the same code.
 //! 4. **Re-time** once with `recompute_times_incremental`.  Every task is placed by
 //!    then, so this is one flat sweep that checks the messages of the tasks steps 2–3
 //!    placed or re-routed; it compacts the schedule exactly like a cold solver's final
@@ -40,13 +42,13 @@
 use crate::builder::ScheduleBuilder;
 use crate::delta::{DeltaError, ProblemDelta, ProblemUpdate};
 use crate::metrics::ScheduleMetrics;
-use crate::router::{commit_route, route_message};
+use crate::router::book_incoming;
 use crate::schedule::MessageHop;
 use crate::solver::{
     BudgetMeter, MigrationRecord, Problem, Provenance, RetimeTotals, Solution, SolveError,
     SolveOptions, SolveTrace, StopReason,
 };
-use bsa_network::CommModel;
+use bsa_network::{CommModel, ProcId};
 use bsa_taskgraph::TaskId;
 use std::fmt;
 
@@ -226,14 +228,14 @@ impl Solution {
             let mut best_finish = f64::INFINITY;
             let mut best_proc = None;
             for p in system.topology.proc_ids() {
-                let finish = b.speculate(|b| book_and_place(b, graph, &comm, t, p));
+                let finish = b.speculate(|b| book_and_place(b, &comm, t, p));
                 if finish < best_finish {
                     best_finish = finish;
                     best_proc = Some(p);
                 }
             }
             let p = best_proc.expect("systems have at least one processor");
-            let finish = book_and_place(&mut b, graph, &comm, t, p);
+            let finish = book_and_place(&mut b, &comm, t, p);
             meter.record_migration();
             let (from, old_finish) = match update.old_task_of(t) {
                 Some(t_old) => (
@@ -311,24 +313,8 @@ fn repair_topo_order(graph: &bsa_taskgraph::TaskGraph, evicted: &[bool]) -> Vec<
 /// earlier in topological order), places `t` in the earliest gap on `p`, and returns
 /// its finish time.  Run inside `speculate` to score a candidate, or directly to
 /// commit the winner.
-fn book_and_place(
-    b: &mut ScheduleBuilder<'_>,
-    graph: &bsa_taskgraph::TaskGraph,
-    comm: &CommModel,
-    t: TaskId,
-    p: bsa_network::ProcId,
-) -> f64 {
-    let mut ready = 0.0f64;
-    for &e in graph.in_edges(t) {
-        let src = graph.edge(e).src;
-        let sp = b
-            .proc_of(src)
-            .expect("predecessors are placed before their successors are repaired");
-        let producer_finish = b.finish_of(src);
-        let (hops, arrival) = route_message(b, comm, e, sp, p, producer_finish);
-        commit_route(b, e, hops);
-        ready = ready.max(arrival);
-    }
+fn book_and_place(b: &mut ScheduleBuilder<'_>, comm: &CommModel, t: TaskId, p: ProcId) -> f64 {
+    let ready = book_incoming(b, comm, t, p);
     let start = b.earliest_proc_slot(p, ready, b.exec_cost(t, p));
     b.place_task(t, p, start);
     b.finish_of(t)

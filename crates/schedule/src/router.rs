@@ -1,113 +1,140 @@
-//! Table-driven message booking on top of the transactional kernel — the one routing
-//! code path shared by every [`CommModel`] consumer.
+//! Table-driven message booking — the one routing code path shared by every
+//! [`CommModel`] consumer.
 //!
 //! DLS and HEFT decide task placements one task at a time; whenever a task is placed on
 //! a processor different from one of its predecessors, the message must travel along
 //! the route chosen by the communication model's policy, occupying each link of the
-//! route in turn.  BSA's migration loop uses the same helpers for its cost-aware
-//! full-reroute option.  The helpers compute the hop bookings either *tentatively* (for
-//! evaluating a candidate processor) or *for real* (mutating the builder's link
-//! timelines).
+//! route in turn.  [`route_message`] and [`data_available_time`] price such a route
+//! against the builder's current link timelines; [`book_incoming`] routes and books
+//! every incoming message of a task placed on a processor.  BSA's cost-aware full
+//! reroute and `Solution::resolve_onto`'s repair use the same helpers.
 //!
-//! Tentative bookings run on the builder's speculative kernel
-//! ([`ScheduleBuilder::speculate`] + [`ScheduleBuilder::push_hop`]): the hops are booked
-//! for real inside a transaction that is always rolled back, so each hop of the route
-//! sees the contention created by the hops before it.  Booking is direction-aware
-//! through [`ScheduleBuilder::earliest_link_slot`]: on full-duplex links only
-//! same-direction traffic contends.
+//! Pricing borrows the builder read-only.  A table route is a simple path (the routing
+//! table follows a deterministic next hop until it reaches the target), so no link
+//! slot repeats along it and no hop of the route can contend with an earlier one: each
+//! hop is one [`ScheduleBuilder::earliest_link_slot`] query after the previous hop's
+//! finish.  The precondition is that the edge is unrouted, so its own old hops are not
+//! on the timelines; a caller re-routing a routed edge clears it inside
+//! [`ScheduleBuilder::speculate`] first.  Booking is direction-aware through the same
+//! query: on full-duplex links only same-direction traffic contends.
 
 use crate::builder::ScheduleBuilder;
 use crate::schedule::MessageHop;
 use bsa_network::{CommModel, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
 
-/// Computes the hop schedule of sending edge `e` from `src_proc` to `dst_proc`, starting
-/// no earlier than `ready`, along the communication model's route and against the
-/// builder's *current* link timelines.
+/// Walks the route of the unrouted edge `e` from `src_proc` to `dst_proc`, starting no
+/// earlier than `ready`, hands each hop to `on_hop` and returns the arrival time.
+fn walk_route(
+    builder: &ScheduleBuilder<'_>,
+    comm: &CommModel,
+    e: EdgeId,
+    src_proc: ProcId,
+    dst_proc: ProcId,
+    ready: f64,
+    mut on_hop: impl FnMut(MessageHop),
+) -> f64 {
+    debug_assert!(builder.route(e).is_empty(), "priced edges must be unrouted");
+    if src_proc == dst_proc {
+        return ready;
+    }
+    let links = comm
+        .route(src_proc, dst_proc)
+        .expect("communication model covers connected topologies");
+    let mut cursor = ready;
+    let mut at = src_proc;
+    for &link in links {
+        let to = builder
+            .system()
+            .topology
+            .link(link)
+            .other_end(at)
+            .expect("route links are adjacent to the current processor");
+        let dur = builder.transfer_time(link, e);
+        let start = builder.earliest_link_slot(link, at, cursor, dur);
+        cursor = start + dur;
+        on_hop(MessageHop {
+            link,
+            from: at,
+            to,
+            start,
+            finish: cursor,
+        });
+        at = to;
+    }
+    cursor
+}
+
+/// Computes the hop schedule of sending the unrouted edge `e` from `src_proc` to
+/// `dst_proc`, starting no earlier than `ready`, along the communication model's route
+/// and against the builder's current link timelines.
 ///
 /// Returns the hops (with concrete start/finish times) and the arrival time at
 /// `dst_proc`.  When `src_proc == dst_proc` the result is an empty route arriving at
-/// `ready`.
-///
-/// The hops are booked speculatively and rolled back before returning, so the builder is
-/// unchanged; callers that commit the decision must call [`commit_route`] with the
-/// returned hops (the gaps used are still free at commit time within the same scheduling
-/// step).
+/// `ready`.  Book the hops with [`ScheduleBuilder::set_route`]; the gaps they use are
+/// still free as long as nothing else is booked in between.
 pub fn route_message(
-    builder: &mut ScheduleBuilder<'_>,
+    builder: &ScheduleBuilder<'_>,
     comm: &CommModel,
     e: EdgeId,
     src_proc: ProcId,
     dst_proc: ProcId,
     ready: f64,
 ) -> (Vec<MessageHop>, f64) {
-    if src_proc == dst_proc {
-        return (Vec::new(), ready);
-    }
-    let links = comm
-        .route(src_proc, dst_proc)
-        .expect("communication model covers connected topologies");
-    builder.speculate(|b| {
-        // The edge may already carry a committed route (re-routing scenarios); the
-        // speculation books the candidate from scratch and the rollback restores it.
-        b.clear_route(e);
-        let mut cursor = ready;
-        let mut at = src_proc;
-        for &link in links {
-            let next = b
-                .system()
-                .topology
-                .link(link)
-                .other_end(at)
-                .expect("route links are adjacent to the current processor");
-            let dur = b.transfer_time(link, e);
-            let start = b.earliest_link_slot(link, at, cursor, dur);
-            b.push_hop(
-                e,
-                MessageHop {
-                    link,
-                    from: at,
-                    to: next,
-                    start,
-                    finish: start + dur,
-                },
-            );
-            cursor = start + dur;
-            at = next;
-        }
-        (b.route(e).to_vec(), cursor)
-    })
+    let mut hops = Vec::new();
+    let arrival = walk_route(builder, comm, e, src_proc, dst_proc, ready, |hop| {
+        hops.push(hop)
+    });
+    (hops, arrival)
 }
 
-/// Books the hops returned by [`route_message`] on the builder's link timelines.
-pub fn commit_route(builder: &mut ScheduleBuilder<'_>, e: EdgeId, hops: Vec<MessageHop>) {
-    if hops.is_empty() {
-        builder.clear_route(e);
-    } else {
-        builder.set_route(e, hops);
-    }
+/// Where the producer of edge `e` sits and when it finishes.
+fn producer(builder: &ScheduleBuilder<'_>, e: EdgeId) -> (ProcId, f64) {
+    let src = builder.graph().edge(e).src;
+    let proc = builder
+        .proc_of(src)
+        .expect("predecessors must be scheduled before their successors");
+    (proc, builder.finish_of(src))
 }
 
 /// Data-available time of task `t` on processor `p`: the latest arrival over all incoming
-/// messages, each routed from its producer's processor (speculatively — the builder is
-/// left unchanged).
+/// messages, each routed on its own from its producer's processor against the current
+/// link timelines.  Allocates nothing.
 ///
-/// Every predecessor of `t` must already be placed.
+/// Every predecessor of `t` must already be placed and every incoming edge unrouted.
 pub fn data_available_time(
+    builder: &ScheduleBuilder<'_>,
+    comm: &CommModel,
+    t: TaskId,
+    p: ProcId,
+) -> f64 {
+    builder
+        .graph()
+        .in_edges(t)
+        .iter()
+        .map(|&e| {
+            let (sp, ready) = producer(builder, e);
+            walk_route(builder, comm, e, sp, p, ready, |_| {})
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Routes every incoming message of task `t` toward processor `p` and books it with
+/// [`ScheduleBuilder::set_route`], in in-edge order, so each message sees the ones
+/// booked before it.  Returns the data-ready time of `t` on `p`.
+///
+/// Every predecessor of `t` must already be placed and every incoming edge unrouted.
+pub fn book_incoming(
     builder: &mut ScheduleBuilder<'_>,
     comm: &CommModel,
     t: TaskId,
     p: ProcId,
 ) -> f64 {
-    let graph = builder.graph();
     let mut da = 0.0f64;
-    for &eid in graph.in_edges(t) {
-        let e = graph.edge(eid);
-        let sp = builder
-            .proc_of(e.src)
-            .expect("predecessors must be scheduled before their successors");
-        let ready = builder.finish_of(e.src);
-        let (_, arrival) = route_message(builder, comm, eid, sp, p, ready);
+    for &e in builder.graph().in_edges(t) {
+        let (sp, ready) = producer(builder, e);
+        let (hops, arrival) = route_message(builder, comm, e, sp, p, ready);
+        builder.set_route(e, hops);
         da = da.max(arrival);
     }
     da
@@ -132,10 +159,9 @@ mod tests {
     fn local_route_is_empty_and_arrives_at_ready() {
         let g = pair();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(4).unwrap());
-        let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
+        let builder = ScheduleBuilder::new(&g, &sys).unwrap();
         let comm = sys.comm_model(RoutePolicy::ShortestHop);
-        let (hops, arrival) =
-            route_message(&mut builder, &comm, EdgeId(0), ProcId(2), ProcId(2), 33.0);
+        let (hops, arrival) = route_message(&builder, &comm, EdgeId(0), ProcId(2), ProcId(2), 33.0);
         assert!(hops.is_empty());
         assert_eq!(arrival, 33.0);
     }
@@ -144,11 +170,10 @@ mod tests {
     fn multi_hop_route_is_store_and_forward() {
         let g = pair();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(4).unwrap());
-        let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
+        let builder = ScheduleBuilder::new(&g, &sys).unwrap();
         let comm = sys.comm_model(RoutePolicy::ShortestHop);
         // P0 -> P2 needs two hops on an otherwise empty 4-ring.
-        let (hops, arrival) =
-            route_message(&mut builder, &comm, EdgeId(0), ProcId(0), ProcId(2), 10.0);
+        let (hops, arrival) = route_message(&builder, &comm, EdgeId(0), ProcId(0), ProcId(2), 10.0);
         assert_eq!(hops.len(), 2);
         assert_eq!(hops[0].start, 10.0);
         assert_eq!(hops[0].finish, 14.0);
@@ -173,13 +198,13 @@ mod tests {
         let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
         let comm = sys.comm_model(RoutePolicy::ShortestHop);
         // Occupy L(P0-P1) during [10, 30) with another edge's hop.
-        let (hops, _) = route_message(&mut builder, &comm, EdgeId(1), ProcId(0), ProcId(1), 10.0);
+        let (hops, _) = route_message(&builder, &comm, EdgeId(1), ProcId(0), ProcId(1), 10.0);
         let mut blocking = hops.clone();
         blocking[0].finish = 30.0;
-        commit_route(&mut builder, EdgeId(1), blocking);
+        builder.set_route(EdgeId(1), blocking);
         // A new tentative route at ready=10 must start at 30.
         let (hops2, arrival2) =
-            route_message(&mut builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
+            route_message(&builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
         assert_eq!(hops2[0].start, 30.0);
         assert_eq!(arrival2, 34.0);
     }
@@ -190,11 +215,14 @@ mod tests {
         let sys = HeterogeneousSystem::homogeneous(&g, ring(4).unwrap());
         let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
         let comm = sys.comm_model(RoutePolicy::ShortestHop);
-        let (hops, _) = route_message(&mut builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
-        commit_route(&mut builder, EdgeId(0), hops.clone());
-        // Re-evaluating the same edge sees the link as free where its own hops sit …
-        let (hops2, arrival2) =
-            route_message(&mut builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
+        let (hops, _) = route_message(&builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
+        builder.set_route(EdgeId(0), hops.clone());
+        // Re-evaluating the same edge with its route cleared inside a speculation sees
+        // the link as free where its own hops sit …
+        let (hops2, arrival2) = builder.speculate(|b| {
+            b.clear_route(EdgeId(0));
+            route_message(b, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0)
+        });
         assert_eq!(hops2, hops);
         assert_eq!(arrival2, 14.0);
         // … and the speculation left the committed booking untouched.
@@ -219,13 +247,43 @@ mod tests {
 
         // On P1: A's message crosses one link (arrives 14), B is local (20) -> DA = 20.
         assert_eq!(
-            data_available_time(&mut builder, &comm, TaskId(2), ProcId(1)),
+            data_available_time(&builder, &comm, TaskId(2), ProcId(1)),
             20.0
         );
         // On P3 (adjacent to P0): A arrives 14, B needs two hops from P1 and arrives 28.
         assert_eq!(
-            data_available_time(&mut builder, &comm, TaskId(2), ProcId(3)),
+            data_available_time(&builder, &comm, TaskId(2), ProcId(3)),
             28.0
+        );
+    }
+
+    #[test]
+    fn booking_routes_messages_in_in_edge_order_so_later_ones_queue() {
+        // A (P0, finishes 10) and B (P0, finishes 12) both send 8 units to D.
+        let mut b = TaskGraphBuilder::new();
+        let a = b.add_task("A", 10.0);
+        let c = b.add_task("B", 2.0);
+        let d = b.add_task("D", 10.0);
+        b.add_edge(a, d, 8.0).unwrap();
+        b.add_edge(c, d, 8.0).unwrap();
+        let g = b.build().unwrap();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(4).unwrap());
+        let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
+        let comm = sys.comm_model(RoutePolicy::ShortestHop);
+        builder.place_task(a, ProcId(0), 0.0);
+        builder.place_task(c, ProcId(0), 10.0);
+
+        // Priced one by one, A's message arrives at 18 and B's at 20.
+        assert_eq!(data_available_time(&builder, &comm, d, ProcId(1)), 20.0);
+        // Booked in in-edge order, B's message waits for A's on the shared link.
+        assert_eq!(book_incoming(&mut builder, &comm, d, ProcId(1)), 26.0);
+        assert_eq!(builder.route(EdgeId(0))[0].start, 10.0);
+        assert_eq!(builder.route(EdgeId(1))[0].start, 18.0);
+        assert_eq!(
+            builder
+                .link_timeline(builder.route(EdgeId(0))[0].link)
+                .len(),
+            2
         );
     }
 
@@ -241,29 +299,17 @@ mod tests {
         let exec = bsa_network::ExecutionCostMatrix::homogeneous(&g, 4);
         let comm_costs = bsa_network::CommCostModel::from_factors(factors);
         let sys = HeterogeneousSystem::new(topo, exec, comm_costs);
-        let mut builder = ScheduleBuilder::new(&g, &sys).unwrap();
+        let builder = ScheduleBuilder::new(&g, &sys).unwrap();
 
         let hop_table = sys.comm_model(RoutePolicy::ShortestHop);
-        let (hops, arrival) = route_message(
-            &mut builder,
-            &hop_table,
-            EdgeId(0),
-            ProcId(0),
-            ProcId(1),
-            0.0,
-        );
+        let (hops, arrival) =
+            route_message(&builder, &hop_table, EdgeId(0), ProcId(0), ProcId(1), 0.0);
         assert_eq!(hops.len(), 1);
         assert_eq!(arrival, 400.0); // 4.0 nominal × factor 100
 
         let cost_table = sys.comm_model(RoutePolicy::MinTransferTime);
-        let (hops, arrival) = route_message(
-            &mut builder,
-            &cost_table,
-            EdgeId(0),
-            ProcId(0),
-            ProcId(1),
-            0.0,
-        );
+        let (hops, arrival) =
+            route_message(&builder, &cost_table, EdgeId(0), ProcId(0), ProcId(1), 0.0);
         assert_eq!(hops.len(), 3);
         assert_eq!(arrival, 12.0); // three fast hops, store-and-forward
         assert_eq!(hops[0].from, ProcId(0));

@@ -260,16 +260,7 @@ impl SolveOptions {
     /// freshly built table.  The shape check is a cheap guard against wiring the
     /// wrong artifact — content-hash keyed caches never trip it.
     pub fn comm_model(&self, system: &HeterogeneousSystem) -> bsa_network::CommModel {
-        self.comm_model_for(system, self.route_policy)
-    }
-
-    /// [`SolveOptions::comm_model`] with an explicit policy override (DLS upgrades
-    /// the default policy to E-cube on hypercubes).
-    pub fn comm_model_for(
-        &self,
-        system: &HeterogeneousSystem,
-        policy: RoutePolicy,
-    ) -> bsa_network::CommModel {
+        let policy = self.route_policy;
         if let Some(table) = &self.routing {
             let effective = match policy {
                 RoutePolicy::ECube if !system.topology.is_hypercube() => RoutePolicy::ShortestHop,
@@ -573,6 +564,19 @@ impl SolveError {
             RecomputeError::UnplacedTask(task) => SolveError::UnplacedTask { task },
             RecomputeError::MissingRoute(edge) => SolveError::MissingRoute { edge },
             RecomputeError::CyclicDecisions => SolveError::CyclicDecisions { context },
+        }
+    }
+
+    /// An [`SolveError::Internal`] for a panic caught while `who` ran, carrying the
+    /// panic's message when its payload is a string.
+    pub fn panicked(who: &str, payload: &(dyn std::any::Any + Send)) -> Self {
+        let cause = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        SolveError::Internal {
+            detail: format!("{who} panicked: {cause}"),
         }
     }
 }

@@ -8,8 +8,8 @@
 //! restores the builder to its exact pre-transaction state — byte for byte, including
 //! every `f64` instant — without ever cloning the builder.  This is the primitive the
 //! BSA migration loop uses for its "try a migration, keep it only if the re-timing
-//! succeeds" step, and the one the baselines use (via
-//! [`ScheduleBuilder::speculate`]) for tentative message bookings.  See DESIGN.md §7.1.
+//! succeeds" step, and (via [`ScheduleBuilder::speculate`]) the one BSA's candidate
+//! pricing and the warm re-solve's repair pricing use.  See DESIGN.md §7.1.
 //!
 //! Transactions nest LIFO: an inner [`Txn`] must be committed or rolled back before
 //! the outer one.  Committing the outermost transaction discards the log; committing
@@ -28,8 +28,8 @@
 //! dirty iff the list holds it at that position.  Between re-timings the list only
 //! grows, so a [`Txn`] records just its length and rollback truncates back to it —
 //! no copy, no stamp writes.  A transaction therefore costs its own operations, not
-//! the pending dirty set; that matters to the callers that speculate thousands of
-//! times between two re-timings (DLS, HEFT-CA, warm re-solves).  A re-timing pass
+//! the pending dirty set; that matters to warm re-solves, which speculate thousands
+//! of times between two re-timings.  A re-timing pass
 //! inside a transaction empties the list; it logs a `ClearDirty` undo op and moves
 //! the consumed entries to a persistent stack, so rollback can put them back.
 
@@ -154,9 +154,10 @@ impl<'a> ScheduleBuilder<'a> {
     /// this returns.  The closure's result — typically a finish-time or a tentative hop
     /// schedule — is passed through.
     ///
-    /// This is the "what if" primitive: BSA's neighbour evaluation and the baselines'
-    /// tentative message routing both use it instead of hand-rolled non-mutating
-    /// re-implementations of the booking logic.
+    /// This is the "what if" primitive for bookings that must see each other or hide
+    /// an edge's own route: BSA's neighbour evaluation, BSA's cost-aware reroute
+    /// pricing and the warm re-solve's repair pricing.  A single table route needs
+    /// none of that and is priced read-only by [`crate::router`].
     pub fn speculate<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let txn = self.begin_txn();
         let result = f(self);

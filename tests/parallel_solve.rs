@@ -49,10 +49,10 @@ fn portfolio_merges_a_monotone_incumbent_stream_and_picks_the_best_entry() {
     assert!(solution
         .provenance
         .config
-        .starts_with("best_of_all; 4 entries; winner = bsa/"));
+        .starts_with("best_of_all; 2 entries; winner = bsa/"));
     assert!(validate::validate(&solution.schedule, &graph, &system).is_empty());
 
-    // The merged incumbent stream is strictly decreasing even though four entries
+    // The merged incumbent stream is strictly decreasing even though both entries
     // emit improvements concurrently.
     let improvements: Vec<f64> = log
         .events
@@ -71,7 +71,7 @@ fn portfolio_merges_a_monotone_incumbent_stream_and_picks_the_best_entry() {
         .iter()
         .filter(|e| matches!(e, SolveEvent::ConfigFinished { .. }))
         .count();
-    assert_eq!(finished, 4);
+    assert_eq!(finished, 2);
     let best_announced = log
         .events
         .iter()
@@ -162,7 +162,7 @@ fn losing_configurations_go_quiet_after_a_first_converged_winner() {
         .iter()
         .filter(|e| matches!(e, SolveEvent::ConfigFinished { .. }))
         .count();
-    assert_eq!(finished, 4, "every entry announces its end, win or lose");
+    assert_eq!(finished, 2, "every entry announces its end, win or lose");
 }
 
 #[test]
@@ -258,13 +258,13 @@ fn provenance_threads_counts_the_os_threads_a_solve_ran_on() {
     assert!(warm.provenance.warm_start);
     assert_eq!(warm.provenance.threads, 1);
 
-    let two = bsa::algorithms::standard_portfolio()
-        .with_threads(2)
+    let one = bsa::algorithms::standard_portfolio()
+        .with_threads(1)
         .solve_unbounded(&problem)
         .unwrap();
-    assert_eq!(two.provenance.threads, 2);
+    assert_eq!(one.provenance.threads, 1);
     let default = bsa::algorithms::standard_portfolio()
         .solve_unbounded(&problem)
         .unwrap();
-    assert_eq!(default.provenance.threads, 4);
+    assert_eq!(default.provenance.threads, 2);
 }

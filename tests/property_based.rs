@@ -147,7 +147,8 @@ proptest! {
 // transaction rollback byte-equality.  See docs/DESIGN.md §7.
 // ---------------------------------------------------------------------------------
 
-use bsa::baselines::message_router::{commit_route, route_message};
+use bsa::schedule::router::{book_incoming, data_available_time, route_message};
+use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::{RecomputeError, ScheduleBuilder};
 use rand::Rng;
 
@@ -164,20 +165,135 @@ fn build_routed_schedule<'a>(
     let topo = bsa::taskgraph::TopologicalOrder::compute(graph);
     for (i, t) in topo.iter().enumerate() {
         let p = ProcId(((seed as usize + i * 7) % m) as u32);
-        let mut da = 0.0f64;
-        for &eid in graph.in_edges(t) {
-            let e = graph.edge(eid);
-            let sp = builder.proc_of(e.src).unwrap();
-            let ready = builder.finish_of(e.src);
-            let (hops, arrival) = route_message(&mut builder, table, eid, sp, p, ready);
-            commit_route(&mut builder, eid, hops);
-            da = da.max(arrival);
-        }
+        let da = book_incoming(&mut builder, table, t, p);
         let exec = builder.exec_cost(t, p);
         let start = builder.earliest_proc_slot(p, da, exec);
         builder.place_task(t, p, start);
     }
     builder
+}
+
+/// The speculative table routing the read-only router replaced: book each hop of the
+/// route with `push_hop` inside a rolled-back transaction, so every hop sees the ones
+/// before it, and copy the route out.
+fn speculative_route(
+    builder: &mut ScheduleBuilder<'_>,
+    comm: &CommModel,
+    e: EdgeId,
+    src: ProcId,
+    dst: ProcId,
+    ready: f64,
+) -> (Vec<MessageHop>, f64) {
+    if src == dst {
+        return (Vec::new(), ready);
+    }
+    let links = comm.route(src, dst).unwrap();
+    builder.speculate(|b| {
+        b.clear_route(e);
+        let mut cursor = ready;
+        let mut at = src;
+        for &link in links {
+            let next = b.system().topology.link(link).other_end(at).unwrap();
+            let dur = b.transfer_time(link, e);
+            let start = b.earliest_link_slot(link, at, cursor, dur);
+            b.push_hop(
+                e,
+                MessageHop {
+                    link,
+                    from: at,
+                    to: next,
+                    start,
+                    finish: start + dur,
+                },
+            );
+            cursor = start + dur;
+            at = next;
+        }
+        (b.route(e).to_vec(), cursor)
+    })
+}
+
+/// Books every incoming message of `t` toward `p` with [`speculative_route`] and
+/// `set_route`, in in-edge order, and returns the data-ready time.
+fn speculative_book_incoming(
+    builder: &mut ScheduleBuilder<'_>,
+    comm: &CommModel,
+    t: TaskId,
+    p: ProcId,
+) -> f64 {
+    let graph = builder.graph();
+    let mut da = 0.0f64;
+    for &e in graph.in_edges(t) {
+        let src = graph.edge(e).src;
+        let (sp, ready) = (builder.proc_of(src).unwrap(), builder.finish_of(src));
+        let (hops, arrival) = speculative_route(builder, comm, e, sp, p, ready);
+        builder.set_route(e, hops);
+        da = da.max(arrival);
+    }
+    da
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On random partial schedules, under every routing policy and both link modes,
+    /// read-only table routing returns exactly the hops and arrival of speculative
+    /// hop-by-hop booking, and `book_incoming` leaves the builder in exactly the state
+    /// of booking the speculative routes with `set_route`.
+    #[test]
+    fn read_only_table_routes_match_speculative_booking(
+        (n, gran, seed) in dag_params(),
+        policy in prop_oneof![
+            Just(RoutePolicy::ShortestHop),
+            Just(RoutePolicy::MinTransferTime),
+            Just(RoutePolicy::ECube),
+        ],
+        full_duplex in any::<bool>(),
+    ) {
+        let graph = build_graph(n, gran, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7AB1E);
+        let kind = TopologyKind::ALL[(seed % 4) as usize];
+        let mode = if full_duplex { LinkMode::FullDuplex } else { LinkMode::HalfDuplex };
+        let topology = kind.build(8, &mut rng).unwrap().with_link_mode(mode);
+        let system = HeterogeneousSystem::generate(
+            &graph,
+            topology,
+            HeterogeneityRange::DEFAULT,
+            HeterogeneityRange::new(1.0, 50.0),
+            &mut rng,
+        );
+        let comm = system.comm_model(policy);
+        let m = system.num_processors();
+
+        // A random topological prefix, placed on random processors with its messages
+        // booked by the reference, leaves the next task with every producer placed.
+        let order: Vec<TaskId> = bsa::taskgraph::TopologicalOrder::compute(&graph).iter().collect();
+        let prefix = rng.gen_range(1..order.len());
+        let mut builder = ScheduleBuilder::new(&graph, &system).unwrap();
+        for &t in &order[..prefix] {
+            let p = ProcId(rng.gen_range(0..m) as u32);
+            let da = speculative_book_incoming(&mut builder, &comm, t, p);
+            let exec = builder.exec_cost(t, p);
+            let start = builder.earliest_proc_slot(p, da, exec);
+            builder.place_task(t, p, start);
+        }
+
+        let t = order[prefix];
+        for p in system.topology.proc_ids() {
+            for &e in graph.in_edges(t) {
+                let src = graph.edge(e).src;
+                let (sp, ready) = (builder.proc_of(src).unwrap(), builder.finish_of(src));
+                let expected = speculative_route(&mut builder, &comm, e, sp, p, ready);
+                prop_assert_eq!(route_message(&builder, &comm, e, sp, p, ready), expected);
+            }
+            let mut reference = builder.clone();
+            let da = speculative_book_incoming(&mut reference, &comm, t, p);
+            let mut booked = builder.clone();
+            prop_assert_eq!(book_incoming(&mut booked, &comm, t, p), da);
+            prop_assert!(booked.same_schedule_state(&reference));
+            prop_assert!(data_available_time(&builder, &comm, t, p) <= da);
+        }
+    }
 }
 
 proptest! {
@@ -253,8 +369,9 @@ proptest! {
                     let (sp, dp) = (builder.proc_of(e.src).unwrap(), builder.proc_of(e.dst).unwrap());
                     if sp != dp {
                         let ready = builder.finish_of(e.src);
-                        let (hops, _) = route_message(&mut builder, &table, eid, sp, dp, ready);
-                        commit_route(&mut builder, eid, hops);
+                        builder.clear_route(eid);
+                        let (hops, _) = route_message(&builder, &table, eid, sp, dp, ready);
+                        builder.set_route(eid, hops);
                     }
                 }
                 _ => {
@@ -317,9 +434,9 @@ proptest! {
                             (builder.proc_of(e.src).unwrap(), builder.proc_of(e.dst).unwrap());
                         if sp != dp {
                             let ready = builder.finish_of(e.src);
-                            let (hops, _) =
-                                route_message(&mut builder, &table, eid, sp, dp, ready);
-                            commit_route(&mut builder, eid, hops);
+                            builder.clear_route(eid);
+                            let (hops, _) = route_message(&builder, &table, eid, sp, dp, ready);
+                            builder.set_route(eid, hops);
                         }
                     }
                     _ => {

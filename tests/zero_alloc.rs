@@ -6,14 +6,17 @@
 //! This test pins that down with a counting global allocator: after a warm-up storm,
 //! every further pass — inside and outside transactions, after task moves, re-routed
 //! messages and bulk dirt — must report **zero** allocations and zero frees.  So must a
-//! speculative transaction opened over a long pending dirty list.
+//! speculative transaction opened over a long pending dirty list, and so must pricing a
+//! task's incoming messages on every processor with `router::data_available_time`, the
+//! way DLS and HEFT-CA price candidates.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
 //! counting on another thread would pollute the window.
 
 use bsa::network::builders::ring;
-use bsa::network::{HeterogeneousSystem, LinkId, ProcId};
+use bsa::network::{HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
+use bsa::schedule::router::data_available_time;
 use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::ScheduleBuilder;
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
@@ -151,6 +154,29 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         (after.0 - before.0, after.1 - before.1),
         (0, 0),
         "speculation over a pending dirty list allocated in steady state"
+    );
+
+    // Table-route pricing over every processor, DLS and HEFT-CA's candidate loop: the
+    // second task of chain 0 has one unrouted incoming message, local on P0 and one hop
+    // over the busy link 0 to P1.
+    let comm = system.comm_model(RoutePolicy::ShortestHop);
+    let priced = TaskId(3);
+    let price = |b: &ScheduleBuilder<'_>| {
+        system
+            .topology
+            .proc_ids()
+            .map(|p| data_available_time(b, &comm, priced, p))
+            .fold(0.0, f64::max)
+    };
+    price(&b);
+    let before = heap_events();
+    let da = price(&b);
+    let after = heap_events();
+    assert!(da > b.finish_of(TaskId(2)), "P1 must need the link hop");
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "pricing incoming messages allocated"
     );
 
     b.recompute_times_incremental().unwrap();
