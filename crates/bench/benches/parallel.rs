@@ -2,10 +2,10 @@
 //! sweep, with a determinism cross-check on every cell.
 //!
 //! The one parallel layer, **portfolio** — the standard two-entry BSA racing roster
-//! (`bsa::algorithms::standard_portfolio`, one entry per route policy) under
-//! [`RaceStrategy::BestOfAll`], whose winner is deterministic at any worker count — is
-//! measured over random layered DAGs on a 16-processor hypercube.  `schedules_equal` compares every placement against
-//! the 1-worker sweep of the same cell.
+//! (`bsa::algorithms::standard_portfolio`, one entry per route policy), whose
+//! best-of-all winner is deterministic at any worker count — is measured over random
+//! layered DAGs on a 16-processor hypercube.  `schedules_equal` compares every
+//! placement against the 1-worker sweep of the same cell.
 //!
 //! Speedups are relative to the 1-thread cell of the same task count and are
 //! **hardware-dependent**: the JSON header records `host_threads` (what

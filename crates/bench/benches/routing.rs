@@ -11,11 +11,11 @@
 //!   solves are bit-identical) **and** the cost-aware table built by the generalized
 //!   `RoutingTable` under `ShortestHop` chooses exactly the legacy BFS routes, so the
 //!   default policy cannot silently drift from the pre-pluggable behaviour.  CI greps
-//!   for this field like it does for the scaling bench.
+//!   for this field in the fresh and the committed JSON.
 //! * the cost-aware schedules still validate under the full contention model.
 //!
-//! Like the scaling bench this is a plain `harness = false` binary so it can emit a
-//! machine-readable `BENCH_routing.json`:
+//! This is a plain `harness = false` binary so it can emit a machine-readable
+//! `BENCH_routing.json`:
 //!
 //! ```console
 //! cargo bench -p bsa_bench --bench routing            # full grid (~a minute)

@@ -27,24 +27,12 @@ pub fn regular_graph(app: RegularApp, num_tasks: usize, granularity: f64) -> Tas
         .expect("generator accepts bench sizes")
 }
 
-/// A heterogeneous system in the paper's style: both execution and link factors uniform in
-/// `[1, range]`.
+/// A heterogeneous system in the paper's style on [`BENCH_PROCESSORS`] processors: both
+/// execution and link factors uniform in `[1, range]`.
 pub fn system(graph: &TaskGraph, kind: TopologyKind, range: f64, seed: u64) -> HeterogeneousSystem {
-    system_on(graph, kind, BENCH_PROCESSORS, range, seed)
-}
-
-/// [`system`] with an explicit processor count — the scaling benchmark sweeps 16–64
-/// processors instead of the paper's fixed 16.
-pub fn system_on(
-    graph: &TaskGraph,
-    kind: TopologyKind,
-    processors: usize,
-    range: f64,
-    seed: u64,
-) -> HeterogeneousSystem {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = kind
-        .build(processors, &mut rng)
+        .build(BENCH_PROCESSORS, &mut rng)
         .expect("bench topologies are valid");
     HeterogeneousSystem::generate(
         graph,

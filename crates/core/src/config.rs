@@ -23,7 +23,8 @@ pub enum PivotStrategy {
 /// Which re-timing kernel runs after every accepted migration.
 ///
 /// Both produce identical times (a property the test suite pins down); they differ only
-/// in cost.  `Full` is kept as the oracle and for the scaling benchmark's baseline.
+/// in cost.  `Full` is kept as the oracle: the property tests compare against it, and
+/// bsabench's `cold-large` oracle schedules were written by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum RetimingMode {
     /// One flat sweep over the reduced decision graph on persistent arenas
@@ -53,10 +54,11 @@ pub struct BsaConfig {
     pub record_trace: bool,
     /// Compare candidate finish times against the task's finish time *at the start of the
     /// current pivot phase* rather than against its continuously compacted value.  The
-    /// paper's Figure 2 is consistent with either reading; the phase-start comparison
-    /// diffuses load off an overloaded pivot much more effectively (see DESIGN.md) and is
-    /// the default.  Setting this to `false` gives the strictly-local variant used in the
-    /// ablation benches.
+    /// default, `false`, compares against the continuously compacted value: strictly
+    /// local improvement, the reading most consistent with the paper's Figure 2 (see
+    /// DESIGN.md §5.1).  Setting this to `true` gives the phase-start variant, which
+    /// diffuses load off an overloaded pivot much more aggressively; the ablation
+    /// benches measure it.
     pub compare_against_phase_start: bool,
     /// Number of breadth-first sweeps over the processor list.  The paper's pseudocode
     /// performs one sweep; its worked example however notes that "no more migration can be
@@ -101,8 +103,8 @@ impl BsaConfig {
     }
 
     /// The full-relaxation oracle kernel — identical schedules, slower migrations.
-    /// Used by the scaling benchmark as the comparison baseline and by the property
-    /// tests as the reference implementation.
+    /// The property tests use it as the reference implementation, and it wrote
+    /// bsabench's `cold-large` oracle schedules.
     pub fn full_retiming() -> Self {
         BsaConfig {
             retiming: RetimingMode::Full,

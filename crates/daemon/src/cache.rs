@@ -11,7 +11,7 @@
 //! because entries are `Arc`s: evicting one never invalidates a session already
 //! holding it.  Hit/miss counters are surfaced through the daemon's `status` command.
 
-use crate::engine::ProblemInstance;
+use crate::engine::{lock, ProblemInstance};
 use bsa::network::RoutingTable;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -95,33 +95,27 @@ impl ArtifactCache {
 
     /// Looks up a validated problem instance by `Problem::fingerprint`.
     pub fn get_problem(&self, key: u64) -> Option<Arc<ProblemInstance>> {
-        self.problems.lock().expect("cache lock").get(key)
+        lock(&self.problems).get(key)
     }
 
     /// Caches a validated problem instance.
     pub fn insert_problem(&self, key: u64, instance: Arc<ProblemInstance>) {
-        self.problems
-            .lock()
-            .expect("cache lock")
-            .insert(key, instance, self.capacity);
+        lock(&self.problems).insert(key, instance, self.capacity);
     }
 
     /// Looks up a routing table by `Problem::routing_key`.
     pub fn get_table(&self, key: u64) -> Option<Arc<RoutingTable>> {
-        self.tables.lock().expect("cache lock").get(key)
+        lock(&self.tables).get(key)
     }
 
     /// Caches a built routing table.
     pub fn insert_table(&self, key: u64, table: Arc<RoutingTable>) {
-        self.tables
-            .lock()
-            .expect("cache lock")
-            .insert(key, table, self.capacity);
+        lock(&self.tables).insert(key, table, self.capacity);
     }
 
     /// Counters of the problem shard.
     pub fn problem_stats(&self) -> ShardStats {
-        let s = self.problems.lock().expect("cache lock");
+        let s = lock(&self.problems);
         ShardStats {
             entries: s.map.len(),
             hits: s.hits,
@@ -131,7 +125,7 @@ impl ArtifactCache {
 
     /// Counters of the routing-table shard.
     pub fn table_stats(&self) -> ShardStats {
-        let s = self.tables.lock().expect("cache lock");
+        let s = lock(&self.tables);
         ShardStats {
             entries: s.map.len(),
             hits: s.hits,

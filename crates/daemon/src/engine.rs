@@ -34,8 +34,27 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+// ---------------------------------------------------------------------------------
+// Locks
+// ---------------------------------------------------------------------------------
+
+/// Locks `mutex`, taking the guard even if a thread panicked while holding it.
+///
+/// The engine's and the cache's critical sections only push, pop, insert and bump
+/// counters, so a panic inside one leaves the data usable.  Recovering the guard keeps
+/// that one panic from failing every later lock of the same mutex, and so every later
+/// request.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait`] with the same poison recovery as [`lock`].
+fn wait<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cond.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------------------
 // Problem instances
@@ -435,7 +454,7 @@ impl Engine {
             counters: Mutex::new(Counters::default()),
             workers: Mutex::new(Vec::new()),
         });
-        let mut workers = engine.workers.lock().expect("engine lock");
+        let mut workers = lock(&engine.workers);
         for i in 0..config.workers.max(1) {
             let e = Arc::clone(&engine);
             workers.push(
@@ -456,21 +475,17 @@ impl Engine {
 
     /// Whether a shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.pool.lock().expect("engine lock").shutting_down
+        lock(&self.pool).shutting_down
     }
 
     /// Registered sessions (any state).
     pub fn session_count(&self) -> usize {
-        self.registry.lock().expect("engine lock").sessions.len()
+        lock(&self.registry).sessions.len()
     }
 
     /// Clients with a non-zero in-flight count (leak canary for the soak test).
     pub fn tracked_clients(&self) -> usize {
-        self.registry
-            .lock()
-            .expect("engine lock")
-            .client_inflight
-            .len()
+        lock(&self.registry).client_inflight.len()
     }
 
     // ----- submit / delta ---------------------------------------------------------
@@ -550,7 +565,7 @@ impl Engine {
         self.precheck(client)?;
         let base = self.find_session(base_session)?;
         let outcome = {
-            let shared = base.shared.lock().expect("session lock");
+            let shared = lock(&base.shared);
             match (&shared.state, &shared.outcome) {
                 (SessionState::Done, Some(Ok(outcome))) => outcome.clone(),
                 (SessionState::Done, _) => return Err(Rejection::FailedSession(base_session)),
@@ -583,7 +598,7 @@ impl Engine {
     /// so a saturated daemon rejects without doing the work.  Re-checked atomically
     /// at enqueue time.
     fn precheck(&self, client: u64) -> Result<(), Rejection> {
-        let pool = self.pool.lock().expect("engine lock");
+        let pool = lock(&self.pool);
         if pool.shutting_down {
             return Err(Rejection::ShuttingDown);
         }
@@ -592,7 +607,7 @@ impl Engine {
             return Err(self.reject_saturated());
         }
         drop(pool);
-        let registry = self.registry.lock().expect("engine lock");
+        let registry = lock(&self.registry);
         if registry.client_inflight.get(&client).copied().unwrap_or(0)
             >= self.config.client_inflight
         {
@@ -608,21 +623,15 @@ impl Engine {
     }
 
     fn reject_saturated(&self) -> Rejection {
-        let queue_len = self.pool.lock().expect("engine lock").queue.len();
-        self.counters
-            .lock()
-            .expect("engine lock")
-            .rejected_saturated += 1;
+        let queue_len = lock(&self.pool).queue.len();
+        lock(&self.counters).rejected_saturated += 1;
         Rejection::Saturated {
             retry_after_ms: self.retry_hint(queue_len),
         }
     }
 
     fn reject_client_limit(&self) -> Rejection {
-        self.counters
-            .lock()
-            .expect("engine lock")
-            .rejected_client_limit += 1;
+        lock(&self.counters).rejected_client_limit += 1;
         Rejection::ClientLimit {
             retry_after_ms: self.retry_hint(self.config.client_inflight),
         }
@@ -630,7 +639,7 @@ impl Engine {
 
     /// Final, atomic admission + registration (lock order: pool, then registry).
     fn enqueue(&self, session: Arc<Session>) -> Result<(), Rejection> {
-        let mut pool = self.pool.lock().expect("engine lock");
+        let mut pool = lock(&self.pool);
         if pool.shutting_down {
             return Err(Rejection::ShuttingDown);
         }
@@ -638,7 +647,7 @@ impl Engine {
             drop(pool);
             return Err(self.reject_saturated());
         }
-        let mut registry = self.registry.lock().expect("engine lock");
+        let mut registry = lock(&self.registry);
         let inflight = registry.client_inflight.entry(session.client).or_insert(0);
         if *inflight >= self.config.client_inflight {
             drop(registry);
@@ -651,7 +660,7 @@ impl Engine {
         pool.queue.push_back(session);
         drop(pool);
         self.pool_cond.notify_one();
-        self.counters.lock().expect("engine lock").submitted += 1;
+        lock(&self.counters).submitted += 1;
         Ok(())
     }
 
@@ -660,7 +669,7 @@ impl Engine {
     fn worker_loop(&self) {
         loop {
             let session = {
-                let mut pool = self.pool.lock().expect("engine lock");
+                let mut pool = lock(&self.pool);
                 loop {
                     if let Some(s) = pool.queue.pop_front() {
                         pool.running += 1;
@@ -669,11 +678,11 @@ impl Engine {
                     if pool.stop {
                         return;
                     }
-                    pool = self.pool_cond.wait(pool).expect("engine lock");
+                    pool = wait(&self.pool_cond, pool);
                 }
             };
             self.run_session(&session);
-            let mut pool = self.pool.lock().expect("engine lock");
+            let mut pool = lock(&self.pool);
             pool.running -= 1;
             if pool.queue.is_empty() && pool.running == 0 {
                 self.drain_cond.notify_all();
@@ -683,14 +692,11 @@ impl Engine {
 
     fn run_session(&self, session: &Arc<Session>) {
         {
-            let mut shared = session.shared.lock().expect("session lock");
+            let mut shared = lock(&session.shared);
             shared.state = SessionState::Running;
             session.cond.notify_all();
         }
-        let work = session
-            .work
-            .lock()
-            .expect("session lock")
+        let work = lock(&session.work)
             .take()
             .expect("a queued session has exactly one unit of work");
         // A panicking solve ends only its own session, as an internal error: the
@@ -723,7 +729,7 @@ impl Engine {
         });
         // Bookkeeping happens-before the `Done` flip: a waiter woken by the state
         // change must already observe the released fairness slot and the counter.
-        let mut registry = self.registry.lock().expect("engine lock");
+        let mut registry = lock(&self.registry);
         if let Some(n) = registry.client_inflight.get_mut(&session.client) {
             *n = n.saturating_sub(1);
             if *n == 0 {
@@ -732,13 +738,13 @@ impl Engine {
         }
         drop(registry);
         {
-            let mut counters = self.counters.lock().expect("engine lock");
+            let mut counters = lock(&self.counters);
             counters.completed += 1;
             if let Ok(ok) = &outcome {
                 counters.retime.merge(&ok.solution.trace.retime);
             }
         }
-        let mut shared = session.shared.lock().expect("session lock");
+        let mut shared = lock(&session.shared);
         shared.outcome = Some(outcome);
         shared.state = SessionState::Done;
         session.cond.notify_all();
@@ -748,9 +754,7 @@ impl Engine {
 
     /// Looks up a registered session.
     pub fn find_session(&self, id: u64) -> Result<Arc<Session>, Rejection> {
-        self.registry
-            .lock()
-            .expect("engine lock")
+        lock(&self.registry)
             .sessions
             .get(&id)
             .cloned()
@@ -759,13 +763,13 @@ impl Engine {
 
     /// Events recorded so far (the `subscribe` starting point).
     pub fn event_count(&self, session: &Session) -> usize {
-        session.shared.lock().expect("session lock").events.len()
+        lock(&session.shared).events.len()
     }
 
     /// Blocks until event `from` exists or the session is done, and returns the next
     /// stream item.  Callers loop, bumping `from` on every `Event`.
     pub fn next_stream_item(&self, session: &Session, from: usize) -> StreamItem {
-        let mut shared = session.shared.lock().expect("session lock");
+        let mut shared = lock(&session.shared);
         loop {
             if from < shared.events.len() {
                 return StreamItem::Event {
@@ -778,16 +782,16 @@ impl Engine {
                     payload: end_record(session, &shared),
                 };
             }
-            shared = session.cond.wait(shared).expect("session lock");
+            shared = wait(&session.cond, shared);
         }
     }
 
     /// Blocks until the session is done; returns its outcome (for tests and the
     /// shutdown summary — streaming clients use [`Engine::next_stream_item`]).
     pub fn wait_done(&self, session: &Session) -> Result<SessionOutcome, Value> {
-        let mut shared = session.shared.lock().expect("session lock");
+        let mut shared = lock(&session.shared);
         while shared.state != SessionState::Done {
-            shared = session.cond.wait(shared).expect("session lock");
+            shared = wait(&session.cond, shared);
         }
         match shared
             .outcome
@@ -810,7 +814,7 @@ impl Engine {
     /// unreachable.
     pub fn release(&self, id: u64) -> Result<(), Rejection> {
         let session = {
-            let mut registry = self.registry.lock().expect("engine lock");
+            let mut registry = lock(&self.registry);
             registry
                 .sessions
                 .remove(&id)
@@ -824,7 +828,7 @@ impl Engine {
     /// by id.
     pub fn list(&self) -> Value {
         let sessions: Vec<Arc<Session>> = {
-            let registry = self.registry.lock().expect("engine lock");
+            let registry = lock(&self.registry);
             let mut v: Vec<_> = registry.sessions.values().cloned().collect();
             v.sort_by_key(|s| s.id);
             v
@@ -833,7 +837,7 @@ impl Engine {
             sessions
                 .iter()
                 .map(|s| {
-                    let shared = s.shared.lock().expect("session lock");
+                    let shared = lock(&s.shared);
                     let ok = match &shared.outcome {
                         None => Value::Null,
                         Some(Ok(_)) => Value::Bool(true),
@@ -856,12 +860,12 @@ impl Engine {
     /// cache hit/miss rates.
     pub fn status(&self) -> Value {
         let (queue, running) = {
-            let pool = self.pool.lock().expect("engine lock");
+            let pool = lock(&self.pool);
             (pool.queue.len(), pool.running)
         };
         let sessions = self.session_count();
         let (c, retime) = {
-            let c = self.counters.lock().expect("engine lock");
+            let c = lock(&self.counters);
             let counters = obj(vec![
                 ("submitted", u(c.submitted)),
                 ("completed", u(c.completed)),
@@ -914,31 +918,31 @@ impl Engine {
     /// final state of every still-registered session.  Idempotent.
     pub fn shutdown(&self) -> Value {
         {
-            let mut pool = self.pool.lock().expect("engine lock");
+            let mut pool = lock(&self.pool);
             pool.shutting_down = true;
         }
         let sessions: Vec<Arc<Session>> = {
-            let registry = self.registry.lock().expect("engine lock");
+            let registry = lock(&self.registry);
             registry.sessions.values().cloned().collect()
         };
         for s in &sessions {
             s.cancel.cancel();
         }
         {
-            let mut pool = self.pool.lock().expect("engine lock");
+            let mut pool = lock(&self.pool);
             while !(pool.queue.is_empty() && pool.running == 0) {
-                pool = self.drain_cond.wait(pool).expect("engine lock");
+                pool = wait(&self.drain_cond, pool);
             }
             pool.stop = true;
         }
         self.pool_cond.notify_all();
-        for handle in self.workers.lock().expect("engine lock").drain(..) {
+        for handle in lock(&self.workers).drain(..) {
             let _ = handle.join();
         }
         let mut rows: Vec<(u64, Value)> = sessions
             .iter()
             .map(|s| {
-                let shared = s.shared.lock().expect("session lock");
+                let shared = lock(&s.shared);
                 let (ok, length) = match &shared.outcome {
                     Some(Ok(outcome)) => (
                         Value::Bool(true),
@@ -976,7 +980,7 @@ fn execute(session: &Session, work: Work) -> Result<SessionOutcome, SessionFailu
             let result = {
                 let problem = instance.problem();
                 let mut progress = |event: &SolveEvent| {
-                    let mut shared = session.shared.lock().expect("session lock");
+                    let mut shared = lock(&session.shared);
                     shared.events.push(wire::encode_event(event));
                     session.cond.notify_all();
                     ControlFlow::Continue(())
@@ -1041,6 +1045,7 @@ fn end_record(session: &Session, shared: &SessionShared) -> Value {
 mod tests {
     use super::*;
     use bsa::network::builders::ring;
+    use bsa::network::RoutePolicy;
 
     fn tiny_instance() -> (TaskGraph, HeterogeneousSystem) {
         let mut b = bsa::taskgraph::TaskGraphBuilder::new();
@@ -1059,38 +1064,40 @@ mod tests {
 
     #[test]
     fn submit_solves_and_second_submit_hits_both_caches() {
-        let engine = Engine::start(EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        });
-        let (g, s) = tiny_instance();
-        let first = engine
-            .submit(
-                1,
-                g.clone(),
-                s.clone(),
-                SolveOptions::default(),
-                AlgoChoice::Single(Algo::Bsa),
-            )
-            .unwrap();
-        assert!(!first.problem_cached && !first.routing_cached);
-        let outcome = drain(&engine, first.session);
-        assert!(outcome.solution.schedule.schedule_length() >= 10.0);
+        for policy in [RoutePolicy::default(), RoutePolicy::MinTransferTime] {
+            let engine = Engine::start(EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            });
+            let options = SolveOptions::default().with_route_policy(policy);
+            let (g, s) = tiny_instance();
+            let first = engine
+                .submit(
+                    1,
+                    g.clone(),
+                    s.clone(),
+                    options.clone(),
+                    AlgoChoice::Single(Algo::Bsa),
+                )
+                .unwrap();
+            assert!(!first.problem_cached && !first.routing_cached, "{policy:?}");
+            let outcome = drain(&engine, first.session);
+            assert!(outcome.solution.schedule.schedule_length() >= 10.0);
 
-        let second = engine
-            .submit(
-                1,
-                g,
-                s,
-                SolveOptions::default(),
-                AlgoChoice::Single(Algo::Dls),
-            )
-            .unwrap();
-        assert!(second.problem_cached && second.routing_cached);
-        drain(&engine, second.session);
-        assert_eq!(engine.cache().problem_stats().hits, 1);
-        assert_eq!(engine.cache().table_stats().hits, 1);
-        engine.shutdown();
+            let second = engine
+                .submit(1, g, s, options, AlgoChoice::Single(Algo::Dls))
+                .unwrap();
+            assert!(second.problem_cached && second.routing_cached, "{policy:?}");
+            drain(&engine, second.session);
+            let one_each = crate::cache::ShardStats {
+                entries: 1,
+                hits: 1,
+                misses: 1,
+            };
+            assert_eq!(engine.cache().problem_stats(), one_each, "{policy:?}");
+            assert_eq!(engine.cache().table_stats(), one_each, "{policy:?}");
+            engine.shutdown();
+        }
     }
 
     #[test]
@@ -1287,6 +1294,60 @@ mod tests {
         // … and shutdown drains the pool instead of waiting on a lost worker.
         let summary = engine.shutdown();
         assert_eq!(summary.get("sessions").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_panic_under_a_session_or_registry_lock_does_not_take_the_engine_down() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let (g, s) = tiny_instance();
+        let info = engine
+            .submit(
+                1,
+                g,
+                s,
+                SolveOptions::default(),
+                AlgoChoice::Single(Algo::Bsa),
+            )
+            .unwrap();
+        let session = engine.find_session(info.session).unwrap();
+        drain(&engine, info.session);
+
+        // Poison the finished session's lock and then the registry lock.
+        let held = Arc::clone(&session);
+        std::thread::spawn(move || {
+            let _guard = held.shared.lock().unwrap();
+            panic!("injected panic under the session lock");
+        })
+        .join()
+        .unwrap_err();
+        let held = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let _guard = held.registry.lock().unwrap();
+            panic!("injected panic under the registry lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(session.shared.is_poisoned() && engine.registry.is_poisoned());
+
+        let rows = engine.list();
+        let rows = rows.as_arr().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("state").and_then(Value::as_str), Some("done"));
+        let status = engine.status();
+        assert_eq!(status.get("sessions").and_then(Value::as_u64), Some(1));
+        match engine.next_stream_item(&session, usize::MAX) {
+            StreamItem::End { payload } => {
+                assert_eq!(payload.get("ok").and_then(Value::as_bool), Some(true));
+            }
+            StreamItem::Event { .. } => panic!("a finished session's stream must end"),
+        }
+        let summary = engine.shutdown();
+        let rows = summary.get("sessions").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("ok").and_then(Value::as_bool), Some(true));
     }
 
     #[test]

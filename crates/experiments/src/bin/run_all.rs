@@ -49,7 +49,8 @@ fn main() {
     println!("{}", timing.to_markdown());
     write_results_file("timing_comparison.csv", &timing.to_csv());
 
-    // Solver traces: the deterministic SolveTrace bundle next to BENCH_scaling.json.
+    // Solver traces: the deterministic SolveTrace bundle, BENCH_traces.json at the
+    // workspace root.
     let traces_path = bsa_experiments::traces::default_out_path();
     match bsa_experiments::traces::write_trace_bundle(&traces_path) {
         Ok(()) => println!("wrote {traces_path}"),

@@ -1,6 +1,6 @@
 //! Regenerates `BENCH_traces.json`: the deterministic [`SolveTrace`] bundle (worked
-//! example unbudgeted + under a migration budget, plus one random DAG), written next to
-//! `BENCH_scaling.json` at the workspace root.
+//! example unbudgeted + under a migration budget, one random DAG, and the standard
+//! portfolio racing it), written at the workspace root.
 //!
 //! Run with `cargo run --release -p bsa_experiments --bin solve_traces -- [--out PATH]`.
 //!

@@ -1,11 +1,11 @@
 //! Machine-readable [`SolveTrace`] bundles from the experiments runner.
 //!
-//! The scaling bench archives `BENCH_scaling.json`; this module gives the solver traces
-//! the same treatment: a deterministic set of BSA solves (the paper's worked example,
-//! budgeted and unbudgeted, plus one random DAG) rendered as a JSON bundle via
-//! [`SolveTrace::to_json`] and written next to `BENCH_scaling.json` at the workspace
-//! root.  `run_all` emits it as part of the full sweep and the dedicated
-//! `solve_traces` binary regenerates it alone:
+//! A deterministic set of solves (the paper's worked example, budgeted and
+//! unbudgeted, one random DAG, and the standard portfolio racing that DAG) rendered as
+//! a JSON bundle via [`SolveTrace::to_json`] and written to `BENCH_traces.json` at the
+//! workspace root, where CI regenerates it and fails on any diff.  `run_all` emits it
+//! as part of the full sweep and the dedicated `solve_traces` binary regenerates it
+//! alone:
 //!
 //! ```console
 //! cargo run --release -p bsa_experiments --bin solve_traces
@@ -30,7 +30,7 @@ pub struct TraceEntry {
 /// Runs the deterministic trace suite: the worked example unbudgeted, the worked
 /// example under a 2-migration budget (exercising the anytime stop path), a 60-task
 /// random DAG on an 8-processor hypercube, and the standard portfolio racing the same
-/// DAG (deterministic winner under `BestOfAll`).
+/// DAG (its best-of-all winner is deterministic).
 pub fn trace_suite() -> Vec<TraceEntry> {
     let bsa = Bsa::new(BsaConfig::traced());
 
@@ -105,7 +105,7 @@ pub fn bundle_json(entries: &[TraceEntry]) -> String {
     out
 }
 
-/// The workspace-root artifact path, anchored like the scaling bench's so the file
+/// The workspace-root artifact path, anchored at the manifest directory so the file
 /// lands in a predictable place regardless of the invocation CWD.
 pub fn default_out_path() -> String {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_traces.json").to_string()

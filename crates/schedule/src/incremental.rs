@@ -42,7 +42,7 @@ use bsa_network::{LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
 
 /// What an incremental re-timing pass did, for diagnostics, the BSA trace's phase
-/// counters, and the scaling benchmark.
+/// counters, and bsabench's per-layer re-timing metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetimeStats {
     /// Tasks dirty when the pass started.

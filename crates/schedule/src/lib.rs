@@ -77,7 +77,7 @@ pub use builder::ScheduleBuilder;
 pub use delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
 pub use incremental::RetimeStats;
 pub use metrics::ScheduleMetrics;
-pub use portfolio::{Portfolio, PortfolioEntry, RaceStrategy};
+pub use portfolio::{Portfolio, PortfolioEntry};
 pub use recompute::RecomputeError;
 pub use resolve::ResolveError;
 pub use schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::builder::ScheduleBuilder;
     pub use crate::delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
     pub use crate::metrics::ScheduleMetrics;
-    pub use crate::portfolio::{Portfolio, PortfolioEntry, RaceStrategy};
+    pub use crate::portfolio::{Portfolio, PortfolioEntry};
     pub use crate::resolve::ResolveError;
     pub use crate::schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
     pub use crate::solver::{

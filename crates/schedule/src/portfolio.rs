@@ -14,20 +14,16 @@
 //!   [`IncumbentCell`] — only **globally** improving
 //!   lengths are forwarded to the caller's observer, so the merged event stream shows
 //!   a monotone incumbent;
-//! * each entry gets a private [`CancelToken`]; the race cancels losers as soon as a
-//!   winner is decided ([`RaceStrategy::FirstConverged`]) or the caller's token or
-//!   observer stops the whole race;
-//! * every entry's end is announced with [`SolveEvent::ConfigFinished`] — after the
-//!   winner's, no further per-step events from losing configurations are forwarded;
+//! * the entries share the race's private [`CancelToken`]; the race cancels it when
+//!   the caller's token or observer stops the whole race;
+//! * every entry's end is announced with [`SolveEvent::ConfigFinished`];
 //! * an entry whose solver panics finishes as [`SolveError::Internal`], like an entry
 //!   that fails, so the race still returns the best of the others.
 //!
-//! With [`RaceStrategy::BestOfAll`] (the default) the portfolio's *result* is
-//! deterministic at any worker count: every entry runs to its own stop, and the
-//! winner is the smallest final length with ties broken by the lowest entry index.
-//! The interleaving of forwarded events is scheduling-dependent in either strategy;
-//! [`RaceStrategy::FirstConverged`] additionally lets the wall clock pick the winner,
-//! trading determinism for latency.
+//! The portfolio's *result* is deterministic at any worker count: every entry runs to
+//! its own stop, and the winner is the smallest final length with ties broken by the
+//! lowest entry index (provenance calls this `best_of_all`).  Only the interleaving of
+//! forwarded events is scheduling-dependent.
 
 use crate::pool::{fan_out, IncumbentCell};
 use crate::solver::{
@@ -41,7 +37,7 @@ use std::time::Duration;
 
 /// How often the event pump polls the caller's [`CancelToken`] while no worker
 /// message is pending.  Bounds the propagation latency from an outer `cancel()` to
-/// the workers' private tokens.
+/// the race's private token.
 const CANCEL_POLL: Duration = Duration::from_millis(5);
 
 /// One racing configuration: a solver plus the options it runs under.
@@ -54,7 +50,7 @@ pub struct PortfolioEntry {
     /// Per-entry options: route policy, budgets and seed live here, while re-timing
     /// mode and pivot strategy live in the solver's own configuration.  The caller's
     /// outer budgets are merged in at race time (the tighter of the two wins); the
-    /// `cancel` slot is replaced by the race's private per-entry token.
+    /// `cancel` slot is replaced by the race's private token.
     pub options: SolveOptions,
 }
 
@@ -68,46 +64,21 @@ impl std::fmt::Debug for PortfolioEntry {
     }
 }
 
-/// How the race declares its winner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RaceStrategy {
-    /// Run every entry to its own stop and keep the smallest final schedule length,
-    /// ties broken by the lowest entry index.  The result is **deterministic** at any
-    /// worker count (given deterministic entries).
-    #[default]
-    BestOfAll,
-    /// The first entry to converge naturally wins and the losers are cancelled
-    /// immediately.  Lowest latency, but the wall clock picks the winner, so the
-    /// result may vary across runs on a loaded machine.
-    FirstConverged,
-}
-
-impl RaceStrategy {
-    /// `snake_case` label used in provenance and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RaceStrategy::BestOfAll => "best_of_all",
-            RaceStrategy::FirstConverged => "first_converged",
-        }
-    }
-}
-
 /// A solver that races a roster of configurations and returns the winner's solution.
 ///
 /// Build with [`Portfolio::new`] + [`Portfolio::add`], then use it like any other
 /// [`Solver`].  The returned [`Solution`] is the winning entry's schedule, metrics
-/// and trace; its [`Provenance`] is rewritten to name the portfolio, the strategy and
-/// the winning entry.
+/// and trace; its [`Provenance`] is rewritten to name the portfolio, the entry count
+/// and the winning entry.
 #[derive(Debug, Default)]
 pub struct Portfolio {
     entries: Vec<PortfolioEntry>,
-    strategy: RaceStrategy,
     /// Racing worker threads; 0 (default) means one per entry.
     threads: usize,
 }
 
 impl Portfolio {
-    /// An empty portfolio with the default [`RaceStrategy::BestOfAll`].
+    /// An empty portfolio.
     pub fn new() -> Self {
         Self::default()
     }
@@ -127,15 +98,9 @@ impl Portfolio {
         self
     }
 
-    /// Sets the winner-selection strategy.
-    pub fn with_strategy(mut self, strategy: RaceStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Caps the racing worker threads.  `0` (the default) races one thread per
     /// entry; `1` degrades to a sequential sweep over the entries (still correct —
-    /// [`RaceStrategy::BestOfAll`] picks the same winner at any worker count).
+    /// the race picks the same winner at any worker count).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -182,8 +147,8 @@ impl Portfolio {
 
 /// What a worker reports to the event pump on the calling thread.
 enum Msg {
-    /// A per-step event of entry `config`'s solve.
-    Event { config: usize, event: SolveEvent },
+    /// A per-step event of one entry's solve.
+    Event(SolveEvent),
     /// Entry `config` finished with `result`.
     Done {
         config: usize,
@@ -215,18 +180,17 @@ impl Solver for Portfolio {
         };
         let meter = BudgetMeter::start(options);
 
-        // Private per-entry tokens let the race cancel each loser individually; the
-        // caller's token is polled by the pump and fanned out to all of them.
-        let tokens: Vec<CancelToken> = (0..n).map(|_| CancelToken::new()).collect();
+        // A private token lets an observer break stop the race without cancelling the
+        // caller's token; the caller's token is polled by the pump and passed on.
+        let race = CancelToken::new();
         let merged: Vec<SolveOptions> = (0..n)
-            .map(|i| self.merged_options(i, options, tokens[i].clone()))
+            .map(|i| self.merged_options(i, options, race.clone()))
             .collect();
 
         let cell = IncumbentCell::new();
         let (tx, rx) = mpsc::channel::<Msg>();
 
         let mut results: Vec<Option<Result<Solution, SolveError>>> = (0..n).map(|_| None).collect();
-        let mut winner: Option<usize> = None;
         let mut broke = false;
         let mut outer_cancelled = false;
 
@@ -246,10 +210,7 @@ impl Solver for Portfolio {
                             _ => true,
                         };
                         if publish {
-                            let _ = tx.send(Msg::Event {
-                                config: i,
-                                event: *event,
-                            });
+                            let _ = tx.send(Msg::Event(*event));
                         }
                         ControlFlow::Continue(())
                     };
@@ -269,8 +230,8 @@ impl Solver for Portfolio {
                     });
                 },
                 || {
-                    // The event pump: forward merged events, declare the winner,
-                    // propagate outer cancellation, honour observer breaks.
+                    // The event pump: forward merged events, propagate outer
+                    // cancellation, honour observer breaks.
                     let mut done = 0usize;
                     while done < n {
                         if !outer_cancelled
@@ -280,9 +241,7 @@ impl Solver for Portfolio {
                                 .is_some_and(CancelToken::is_cancelled)
                         {
                             outer_cancelled = true;
-                            for t in &tokens {
-                                t.cancel();
-                            }
+                            race.cancel();
                         }
                         let msg = match rx.recv_timeout(CANCEL_POLL) {
                             Ok(m) => m,
@@ -290,13 +249,10 @@ impl Solver for Portfolio {
                             Err(RecvTimeoutError::Disconnected) => break,
                         };
                         match msg {
-                            Msg::Event { config, event } => {
-                                let suppressed = broke || winner.is_some_and(|w| w != config);
-                                if !suppressed && progress.on_event(&event).is_break() {
+                            Msg::Event(event) => {
+                                if !broke && progress.on_event(&event).is_break() {
                                     broke = true;
-                                    for t in &tokens {
-                                        t.cancel();
-                                    }
+                                    race.cancel();
                                 }
                             }
                             Msg::Done { config, result } => {
@@ -310,18 +266,6 @@ impl Solver for Portfolio {
                                     // reason; report natural termination, no length.
                                     Err(_) => (None, StopReason::Converged),
                                 };
-                                if self.strategy == RaceStrategy::FirstConverged
-                                    && winner.is_none()
-                                    && length.is_some()
-                                    && stop == StopReason::Converged
-                                {
-                                    winner = Some(config);
-                                    for (j, t) in tokens.iter().enumerate() {
-                                        if j != config {
-                                            t.cancel();
-                                        }
-                                    }
-                                }
                                 if !broke {
                                     let ev = SolveEvent::ConfigFinished {
                                         config,
@@ -330,9 +274,7 @@ impl Solver for Portfolio {
                                     };
                                     if progress.on_event(&ev).is_break() {
                                         broke = true;
-                                        for t in &tokens {
-                                            t.cancel();
-                                        }
+                                        race.cancel();
                                     }
                                 }
                                 results[config] = Some(*result);
@@ -349,20 +291,14 @@ impl Solver for Portfolio {
             .map(|r| r.expect("every racing entry reports a result"))
             .collect();
 
-        // Winner selection.  FirstConverged keeps the wall-clock winner when one
-        // converged; otherwise (and always for BestOfAll) the smallest final length
-        // wins, ties broken by the lowest entry index — deterministic given
-        // deterministic entries.
-        let best_by_length = results
+        // Winner selection: the smallest final length wins, ties broken by the lowest
+        // entry index — deterministic given deterministic entries.
+        let chosen = results
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().ok().map(|s| (i, s.metrics.schedule_length)))
             .min_by(|(i, a), (j, b)| a.total_cmp(b).then(i.cmp(j)))
             .map(|(i, _)| i);
-        let chosen = match self.strategy {
-            RaceStrategy::FirstConverged => winner.or(best_by_length),
-            RaceStrategy::BestOfAll => best_by_length,
-        };
 
         let Some(chosen) = chosen else {
             // No entry produced a feasible schedule.
@@ -402,11 +338,8 @@ impl Solver for Portfolio {
         solution.provenance = Provenance {
             solver: self.name().to_string(),
             config: format!(
-                "{}; {} entries; winner = {} ({})",
-                self.strategy.label(),
-                n,
-                self.entries[chosen].label,
-                solution.provenance.config
+                "best_of_all; {} entries; winner = {} ({})",
+                n, self.entries[chosen].label, solution.provenance.config
             ),
             elapsed: meter.elapsed(),
             stop,
@@ -426,13 +359,6 @@ mod tests {
     use bsa_network::builders::ring;
     use bsa_network::HeterogeneousSystem;
     use bsa_taskgraph::TaskGraphBuilder;
-
-    #[test]
-    fn strategy_labels_and_default() {
-        assert_eq!(RaceStrategy::default(), RaceStrategy::BestOfAll);
-        assert_eq!(RaceStrategy::BestOfAll.label(), "best_of_all");
-        assert_eq!(RaceStrategy::FirstConverged.label(), "first_converged");
-    }
 
     #[test]
     fn empty_portfolio_refuses_to_solve() {

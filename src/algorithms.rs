@@ -90,9 +90,8 @@ impl Algo {
 /// [`RetimingMode::Full`](bsa_core::RetimingMode::Full) entry could only tie its
 /// incremental twin and slow the race down.
 ///
-/// Returned with the default [`bsa_schedule::RaceStrategy::BestOfAll`], so the
-/// portfolio's answer is deterministic at any worker count; chain
-/// `.with_strategy(RaceStrategy::FirstConverged)` for the lowest-latency variant.
+/// The race keeps the best entry's answer, so it is deterministic at any worker
+/// count.
 pub fn standard_portfolio() -> Portfolio {
     let policies: [(&str, RoutePolicy); 2] = [
         ("shortest-hop", RoutePolicy::ShortestHop),

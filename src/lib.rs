@@ -89,9 +89,8 @@ pub mod prelude {
     };
     pub use bsa_schedule::{
         CancelToken, DeltaError, DeltaOp, NoProgress, Portfolio, PortfolioEntry, Problem,
-        ProblemDelta, ProblemUpdate, Progress, RaceStrategy, ResolveError, Schedule,
-        ScheduleMetrics, Solution, SolveError, SolveEvent, SolveOptions, SolveTrace, Solver,
-        StopReason, ThreadStats,
+        ProblemDelta, ProblemUpdate, Progress, ResolveError, Schedule, ScheduleMetrics, Solution,
+        SolveError, SolveEvent, SolveOptions, SolveTrace, Solver, StopReason, ThreadStats,
     };
     pub use bsa_taskgraph::{EdgeId, GraphLevels, GraphStats, TaskGraph, TaskGraphBuilder, TaskId};
     pub use bsa_workloads::prelude::*;

@@ -14,17 +14,20 @@
 //!    solve-from-scratch on the mutated instance;
 //! 4. **semantic transparency** — `Problem::apply` followed by a cold solve is
 //!    indistinguishable from building the mutated instance directly (via the graph
-//!    scaling constructors the generators themselves use).
+//!    scaling constructors the generators themselves use);
+//! 5. **warm beats cold** — on every delta kind that re-places under 10% of the tasks,
+//!    `resolve` is faster than a cold solve of the changed instance.
 //!
 //! The vendored proptest shim is fully deterministic (FNV-seeded by test name), so a
-//! local pass is exactly a CI pass — the CI `dynamic` job runs this file as its
-//! fixed-seed delta-fuzz gate.
+//! local pass is exactly a CI pass: the CI test job runs this file as its fixed-seed
+//! delta-fuzz gate.
 
 use bsa::prelude::*;
 use bsa::schedule::validate;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
 
 /// Warm-start competitiveness bound: the greedy frontier repair may lose to a cold
 /// BSA re-solve (which re-serializes and sweeps globally), but never by more than
@@ -496,4 +499,135 @@ fn link_down_keeps_unaffected_routes_verbatim() {
             .collect();
         assert_eq!(old_links, new_links, "untouched route {e} was re-routed");
     }
+}
+
+// ---------------------------------------------------------------------------------
+// 5. Warm beats cold on small deltas
+// ---------------------------------------------------------------------------------
+
+/// The single-operation delta kinds the warm-vs-cold grid covers, smallest expected
+/// frontier first.
+const WARM_KINDS: [&str; 7] = [
+    "empty",
+    "set_task_cost",
+    "set_edge_weight",
+    "add_task",
+    "remove_task",
+    "link_down",
+    "remove_processor",
+];
+
+/// One applicable delta of `kind`.  Structure-touching kinds retry candidates until
+/// `Problem::apply` accepts one (connectivity guards can reject a specific pick).
+fn delta_of_kind(
+    kind: &str,
+    graph: &TaskGraph,
+    system: &HeterogeneousSystem,
+    rng: &mut StdRng,
+) -> ProblemDelta {
+    let problem = Problem::new(graph, system).unwrap();
+    for _ in 0..32 {
+        let mut d = ProblemDelta::new();
+        match kind {
+            "empty" => {}
+            "set_task_cost" => {
+                let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+                d.set_task_cost(t, graph.task(t).nominal_cost * 2.0);
+            }
+            "set_edge_weight" => {
+                let e = EdgeId(rng.gen_range(0..graph.num_edges()) as u32);
+                d.set_edge_weight(e, graph.edge(e).nominal_cost * 3.0);
+            }
+            "add_task" => {
+                let topo_order = bsa::taskgraph::TopologicalOrder::compute(graph);
+                let order = topo_order.order();
+                let i = rng.gen_range(0..order.len() - 1);
+                let j = rng.gen_range(i + 1..order.len());
+                d.add_task(
+                    "arrival",
+                    150.0,
+                    vec![(order[i], 40.0)],
+                    vec![(order[j], 40.0)],
+                );
+            }
+            "remove_task" => {
+                d.remove_task(TaskId(rng.gen_range(0..graph.num_tasks()) as u32));
+            }
+            "link_down" => {
+                d.link_down(LinkId(rng.gen_range(0..system.num_links()) as u32));
+            }
+            "remove_processor" => {
+                d.remove_processor(ProcId(rng.gen_range(0..system.num_processors()) as u32));
+            }
+            other => panic!("unknown delta kind {other}"),
+        }
+        if kind == "empty" || problem.apply(&d).is_ok() {
+            return d;
+        }
+    }
+    panic!("no applicable {kind} delta found in 32 tries");
+}
+
+/// For every delta kind, two 60-task random DAGs on an 8-processor hypercube are
+/// solved cold, changed by one delta, and re-solved both warm (`resolve`) and cold
+/// (BSA from scratch on the changed instance).  Every warm schedule must be
+/// validator-clean.  A kind is *small* when resolve re-placed under 10% of the tasks
+/// on average; on every small kind the mean warm time must beat the mean cold time.
+#[test]
+fn warm_resolve_stays_valid_and_beats_a_cold_solve_on_small_deltas() {
+    const TASKS: usize = 60;
+    const REPS: usize = 2;
+    let mut small_kinds = Vec::new();
+    for kind in WARM_KINDS {
+        let (mut warm_s, mut cold_s, mut touched) = (0.0, 0.0, 0.0);
+        for rep in 0..REPS {
+            let mut rng = StdRng::seed_from_u64(0xD11A + 613 * rep as u64 + TASKS as u64);
+            let graph =
+                bsa::workloads::random_dag::paper_random_graph(TASKS, 1.0, &mut rng).unwrap();
+            let system = HeterogeneousSystem::generate(
+                &graph,
+                bsa::network::builders::hypercube_for(8).unwrap(),
+                HeterogeneityRange::DEFAULT,
+                HeterogeneityRange::homogeneous(),
+                &mut rng,
+            );
+            let problem = Problem::new(&graph, &system).unwrap();
+            let incumbent = Bsa::default().solve_unbounded(&problem).unwrap();
+            let mut delta_rng = StdRng::seed_from_u64(0x5EED + rep as u64);
+            let delta = delta_of_kind(kind, &graph, &system, &mut delta_rng);
+
+            let started = Instant::now();
+            let (update, warm) = incumbent
+                .resolve(&problem, &delta, &SolveOptions::default())
+                .unwrap_or_else(|e| panic!("{kind} rep {rep}: {e}"));
+            warm_s += started.elapsed().as_secs_f64();
+
+            let started = Instant::now();
+            Bsa::default().solve_unbounded(&update.problem()).unwrap();
+            cold_s += started.elapsed().as_secs_f64();
+
+            let errors = validate::validate(&warm.schedule, update.graph(), update.system());
+            assert!(
+                errors.is_empty(),
+                "{kind} rep {rep}: invalid warm schedule: {:?}",
+                &errors[..errors.len().min(3)]
+            );
+            touched += warm.trace.num_migrations() as f64 / update.graph().num_tasks() as f64;
+        }
+        if touched / (REPS as f64) < 0.10 {
+            assert!(
+                warm_s < cold_s,
+                "{kind}: a small delta ({:.1}% re-placed) resolved warm in {:.2} ms on \
+                 average, no faster than the cold solve's {:.2} ms",
+                100.0 * touched / REPS as f64,
+                1e3 * warm_s / REPS as f64,
+                1e3 * cold_s / REPS as f64
+            );
+            small_kinds.push(kind);
+        }
+    }
+    assert!(
+        !small_kinds.is_empty(),
+        "no delta kind re-placed under 10% of the tasks"
+    );
 }

@@ -296,6 +296,42 @@ proptest! {
     }
 }
 
+/// Both re-timing modes give the same schedule on 60- and 100-task random DAGs on a
+/// 16-processor hypercube whose execution *and* link factors are drawn from [1, 10]
+/// (the property test below draws homogeneous links only).
+#[test]
+fn retiming_modes_agree_on_heterogeneous_links() {
+    const SEED: u64 = 0xB5A;
+    for tasks in [60usize, 100] {
+        let graph = build_graph(tasks, 1.0, SEED);
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x5ca1e);
+        let system = HeterogeneousSystem::generate(
+            &graph,
+            TopologyKind::Hypercube.build(16, &mut rng).unwrap(),
+            HeterogeneityRange::new(1.0, 10.0),
+            HeterogeneityRange::new(1.0, 10.0),
+            &mut rng,
+        );
+        let problem = Problem::new(&graph, &system).unwrap();
+        let [incremental, full] = [RetimingMode::Incremental, RetimingMode::Full].map(|mode| {
+            let config = BsaConfig {
+                retiming: mode,
+                ..BsaConfig::default()
+            };
+            Bsa::new(config).solve_unbounded(&problem).unwrap().schedule
+        });
+        for t in graph.task_ids() {
+            let placement = |s: &Schedule| (s.proc_of(t), s.start_of(t));
+            assert_eq!(
+                placement(&incremental),
+                placement(&full),
+                "{tasks} tasks, {t}"
+            );
+        }
+        assert_eq!(incremental.schedule_length(), full.schedule_length());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
