@@ -17,29 +17,30 @@
 //! in the paper.  Under a cost-aware policy
 //! ([`RoutePolicy::MinTransferTime`] in [`SolveOptions::route_policy`]) the loop
 //! additionally consults the same [`CommModel`] handle the baselines route over: every
-//! re-routed message also evaluates a full reroute along the policy's route (priced by
-//! [`bsa_schedule::router`] inside a speculation that hides the message's current
-//! route) and takes it when it arrives earlier — on heavily heterogeneous links the
-//! hop-by-hop extension can pile onto a slow link that a slightly longer route avoids
-//! entirely.
+//! re-routed message also prices a full reroute along the policy's route
+//! ([`Booking::price_route`], with the message's current route hidden) and takes it
+//! when it arrives earlier — on heavily heterogeneous links the hop-by-hop extension
+//! can pile onto a slow link that a slightly longer route avoids entirely.
 //!
-//! Both the neighbour evaluation and the migration itself run on the transactional
-//! kernel of `bsa_schedule` (see DESIGN.md §7): a neighbour is evaluated by *actually
-//! performing* the tentative message bookings and placement inside
-//! [`ScheduleBuilder::speculate`] (so the estimate sees real link contention) and
-//! rolling them back; an accepted migration is committed, a migration whose re-routing
-//! produces un-timeable (cyclic) ordering decisions is rolled back through the same
-//! undo log.  No whole-builder snapshot is ever cloned.  After each accepted migration
-//! the schedule is re-timed by one flat sweep over the reduced decision graph
-//! ([`ScheduleBuilder::recompute_times_incremental`]);
+//! A neighbour is priced read-only ([`estimate_finish_on_neighbor`]): the tentative
+//! bookings and the placement go to a tentative view over `&ScheduleBuilder`, which
+//! answers the link gap queries as if they had been made (see
+//! [`bsa_schedule::overlay`]), so the estimate sees real link contention among the
+//! task's own messages and nothing has to be undone.  An accepted migration
+//! ([`migrate`]) runs the same booking steps on the builder itself, inside a
+//! transaction: a migration whose re-routing produces un-timeable (cyclic) ordering
+//! decisions is rolled back through the undo log of the transactional kernel (see
+//! DESIGN.md §5.2 and §7).  No whole-builder snapshot is ever cloned.  After each
+//! accepted migration the schedule is re-timed by one flat sweep over the reduced
+//! decision graph ([`ScheduleBuilder::recompute_times_incremental`]);
 //! [`crate::config::RetimingMode::Full`] switches back to the full-relaxation oracle,
 //! which produces bit-identical times at a much higher cost per migration.
 
 use crate::config::{BsaConfig, RetimingMode};
 use crate::pivot::select_pivot;
 use crate::serialization::serialize;
-use bsa_network::{CommModel, HeterogeneousSystem, ProcId, RoutePolicy};
-use bsa_schedule::router::route_message;
+use bsa_network::{CommModel, HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
+use bsa_schedule::overlay::{Booking, Overlay};
 use bsa_schedule::schedule::MessageHop;
 use bsa_schedule::solver::{
     BudgetMeter, IncumbentRecord, MigrationRecord, Problem, Progress, Provenance, RetimeTotals,
@@ -50,14 +51,22 @@ use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
 const EPS: f64 = 1e-9;
 
-/// Reusable buffers of the migration loop.  One instance lives for a whole run and is
-/// shared by every neighbour speculation and accepted migration, mirroring the
-/// scheduling kernel's scratch arenas (DESIGN.md §7.5): the loop's own per-candidate
-/// `Vec`s would otherwise be the last per-migration allocations left on the hot path.
-#[derive(Default)]
-struct MigrateScratch {
+/// Reusable buffers of neighbour pricing and migration: one instance serves every
+/// candidate of a run, mirroring the scheduling kernel's scratch arenas (DESIGN.md
+/// §7.5), so pricing allocates nothing in steady state.
+#[derive(Debug, Default)]
+pub struct MigrationScratch {
     /// Remote incoming messages of the migrating task, sorted by readiness.
     remote: Vec<(EdgeId, f64)>,
+    /// The tentative bookings of the neighbour being priced.
+    overlay: Overlay,
+}
+
+/// Reusable buffers of the migration loop, alive for a whole run.
+#[derive(Default)]
+struct MigrateScratch {
+    /// Buffers of pricing and booking each candidate.
+    migration: MigrationScratch,
     /// Snapshot of the pivot's tasks at phase start.
     tasks: Vec<TaskId>,
     /// Finish time of every task at phase start (see `compare_against_phase_start`).
@@ -251,13 +260,12 @@ impl Bsa {
                     for &(py, _link) in system.topology.neighbors(pivot) {
                         let ft_y = estimate_finish_on_neighbor(
                             builder,
-                            graph,
                             t,
                             pivot,
                             py,
                             cfg,
                             comm,
-                            &mut scratch.remote,
+                            &mut scratch.migration,
                         );
                         pricing.evals += 1;
                         if ft_y < ft_pivot - EPS {
@@ -289,17 +297,7 @@ impl Bsa {
                     // produces ordering decisions that cannot be timed consistently (rare —
                     // see DESIGN.md §5.2), roll back and keep the task where it was.
                     let txn = builder.begin_txn();
-                    migrate(
-                        builder,
-                        graph,
-                        t,
-                        pivot,
-                        py,
-                        cfg,
-                        true,
-                        comm,
-                        &mut scratch.remote,
-                    );
+                    migrate(builder, t, pivot, py, cfg, comm, &mut scratch.migration);
                     let retimed = match cfg.retiming {
                         RetimingMode::Incremental => {
                             builder.recompute_times_incremental().map(Some)
@@ -405,177 +403,57 @@ impl Solver for Bsa {
 }
 
 /// Finish time of `t` if it migrated from `pivot` to the neighbour `py` (the paper's
-/// `ComputeMFT`/`ComputeFT`), obtained by *performing* the migration's incoming-message
-/// bookings and placement inside a speculation that is always rolled back.
+/// `ComputeMFT`/`ComputeFT`), priced read-only: the migration's incoming-message
+/// bookings and placement go to a [`Tentative`](bsa_schedule::overlay::Tentative)
+/// view over `builder`, which answers every gap query as if they had been made.
 ///
-/// Because the speculative bookings go through the same [`migrate`] code that a real
-/// migration uses, the returned finish time accounts exactly for link contention among
-/// the task's own incoming messages (the previous hand-rolled estimator was optimistic
-/// when several messages competed for the joining link).  Outgoing messages are skipped:
-/// they do not influence `t`'s own finish time.
-#[allow(clippy::too_many_arguments)]
-fn estimate_finish_on_neighbor(
-    builder: &mut ScheduleBuilder<'_>,
-    graph: &TaskGraph,
+/// The view runs the same booking steps a committed [`migrate`] runs on the builder,
+/// so the returned finish time accounts exactly for link contention among the task's
+/// own incoming messages, and equals the finish [`migrate`] gives `t`.  Outgoing
+/// messages are skipped: they do not influence `t`'s own finish time.  `scratch` is
+/// reused across calls, so pricing allocates nothing in steady state.
+pub fn estimate_finish_on_neighbor(
+    builder: &ScheduleBuilder<'_>,
     t: TaskId,
     pivot: ProcId,
     py: ProcId,
     cfg: &BsaConfig,
     comm: Option<&CommModel>,
-    remote: &mut Vec<(EdgeId, f64)>,
+    scratch: &mut MigrationScratch,
 ) -> f64 {
-    builder.speculate(|b| {
-        migrate(b, graph, t, pivot, py, cfg, false, comm, remote);
-        b.finish_of(t)
-    })
+    let mut view = scratch.overlay.over(builder);
+    route_incoming_and_place(&mut view, t, pivot, py, cfg, comm, &mut scratch.remote)
 }
 
-/// Moves `t` from `pivot` to the neighbouring processor `py`, re-routing its incoming and
-/// (when `route_outgoing` is set) outgoing messages across the joining link and booking
-/// contention-free slots for them.
+/// Moves `t` from `pivot` to the neighbouring processor `py`, re-routing its incoming
+/// and outgoing messages across the joining link and booking contention-free slots for
+/// them.
 ///
 /// Runs entirely on the builder's transactional mutation API, so a caller-held [`Txn`]
-/// (or [`ScheduleBuilder::speculate`]) can undo the whole move.
+/// can undo the whole move.  The incoming half and the placement are the steps
+/// [`estimate_finish_on_neighbor`] prices, committed.
 ///
-/// With a cost-aware `comm` model, every re-routed message additionally evaluates a
-/// full reroute along the model's route (priced by the same [`bsa_schedule::router`]
-/// walk the baselines use) and takes it when it arrives strictly earlier.
+/// With a cost-aware `comm` model, every re-routed message additionally prices a full
+/// reroute along the model's route ([`Booking::price_route`], the same
+/// [`bsa_schedule::router`] walk the baselines use) and takes it when it arrives
+/// strictly earlier.
 ///
 /// [`Txn`]: bsa_schedule::Txn
-#[allow(clippy::too_many_arguments)]
-fn migrate(
+pub fn migrate(
     builder: &mut ScheduleBuilder<'_>,
-    graph: &TaskGraph,
     t: TaskId,
     pivot: ProcId,
     py: ProcId,
     cfg: &BsaConfig,
-    route_outgoing: bool,
     comm: Option<&CommModel>,
-    remote: &mut Vec<(EdgeId, f64)>,
+    scratch: &mut MigrationScratch,
 ) {
-    let link = builder
-        .system()
-        .topology
-        .link_between(pivot, py)
-        .expect("migration target must be a neighbour of the pivot");
+    let graph = builder.graph();
+    let link = joining_link(builder, pivot, py);
     builder.unplace_task(t);
-
-    // --- incoming messages -------------------------------------------------------------
-    // Remote incoming messages either start a fresh single-hop route pivot -> py (their
-    // producer still sits on the pivot), extend their existing route (which currently
-    // terminates at the pivot) by one hop, or — when the producer's processor happens to be
-    // directly connected to `py` and that is faster — get rescheduled on the direct link
-    // (the paper's "optimized routes" property of incremental message scheduling).
-    remote.clear();
-    let mut drt = 0.0f64;
-    for &eid in graph.in_edges(t) {
-        let e = graph.edge(eid);
-        let src_proc = builder.proc_of(e.src).expect("all tasks are placed");
-        if src_proc == py {
-            // Becomes a local message.
-            builder.clear_route(eid);
-            drt = drt.max(builder.finish_of(e.src));
-        } else {
-            remote.push((eid, builder.finish_of(e.src)));
-        }
-    }
-    // Book the earliest-ready messages first for tighter packing on the shared link.
-    remote.sort_by(|a, b| a.1.total_cmp(&b.1));
-    for &(eid, src_finish) in remote.iter() {
-        let e = graph.edge(eid);
-        let src_proc = builder.proc_of(e.src).expect("all tasks are placed");
-        let dur = builder.transfer_time(link, eid);
-        // Option A: route (or keep routing) through the pivot and add the final hop.
-        let ready_at_pivot = if src_proc == pivot {
-            src_finish
-        } else {
-            builder
-                .route(eid)
-                .last()
-                .map(|h| h.finish)
-                .unwrap_or(src_finish)
-        };
-        let via_pivot_start = builder.earliest_link_slot(link, pivot, ready_at_pivot, dur);
-        let via_pivot_arrival = via_pivot_start + dur;
-        // Option B (only for producers that already migrated off the pivot): a direct link
-        // from the producer's processor to py, rescheduling the message from scratch.
-        let direct = if src_proc != pivot {
-            builder
-                .system()
-                .topology
-                .link_between(src_proc, py)
-                .map(|dl| {
-                    let ddur = builder.transfer_time(dl, eid);
-                    let s = builder.earliest_link_slot(dl, src_proc, src_finish, ddur);
-                    (dl, s, s + ddur)
-                })
-        } else {
-            None
-        };
-        // Option C (cost-aware policies only): a full reroute along the communication
-        // model's route from the producer to py, priced against the current link
-        // timelines with the message's own route hidden.  Skipped when the policy
-        // route is the direct link option B already prices.
-        let policy_route = comm
-            .filter(|cm| cm.hops(src_proc, py) > 1)
-            .map(|cm| price_reroute(builder, cm, eid, src_proc, py, src_finish));
-        let arrival = match (direct, policy_route) {
-            (_, Some((hops, a)))
-                if a < via_pivot_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
-            {
-                builder.set_route(eid, hops);
-                a
-            }
-            (Some((dl, s, a)), _) if a < via_pivot_arrival => {
-                builder.set_route(
-                    eid,
-                    vec![MessageHop {
-                        link: dl,
-                        from: src_proc,
-                        to: py,
-                        start: s,
-                        finish: a,
-                    }],
-                );
-                a
-            }
-            _ => {
-                let hop = MessageHop {
-                    link,
-                    from: pivot,
-                    to: py,
-                    start: via_pivot_start,
-                    finish: via_pivot_arrival,
-                };
-                if src_proc == pivot {
-                    // Producer still on the pivot: a fresh single-hop route.
-                    builder.set_route(eid, vec![hop]);
-                } else {
-                    // Route already terminates at the pivot: extend it by one hop in
-                    // place instead of re-booking every existing hop.
-                    builder.push_hop(eid, hop);
-                }
-                via_pivot_arrival
-            }
-        };
-        drt = drt.max(arrival);
-    }
-
-    // --- the task itself ---------------------------------------------------------------
-    let exec = builder.exec_cost(t, py);
-    let st = if cfg.insertion {
-        builder.earliest_proc_slot(py, drt, exec)
-    } else {
-        builder.earliest_proc_append(py, drt)
-    };
-    builder.place_task(t, py, st);
-    let ft = builder.finish_of(t);
+    let ft = route_incoming_and_place(builder, t, pivot, py, cfg, comm, &mut scratch.remote);
 
     // --- outgoing messages -------------------------------------------------------------
-    if !route_outgoing {
-        return;
-    }
     for &eid in graph.out_edges(t) {
         let e = graph.edge(eid);
         let dst_proc = builder.proc_of(e.dst).expect("all tasks are placed");
@@ -619,12 +497,12 @@ fn migrate(
             });
         let policy_route = comm
             .filter(|cm| cm.hops(py, dst_proc) > 1)
-            .map(|cm| price_reroute(builder, cm, eid, py, dst_proc, ft));
+            .map(|cm| (cm, builder.price_route(cm, eid, py, dst_proc, ft)));
         match (direct, policy_route) {
-            (_, Some((hops, a)))
+            (_, Some((cm, a)))
                 if a < extend_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
             {
-                builder.set_route(eid, hops);
+                builder.book_route(cm, eid, py, dst_proc, ft);
             }
             (Some((dl, s, a)), _) if a < extend_arrival => {
                 builder.set_route(
@@ -653,21 +531,137 @@ fn migrate(
     }
 }
 
-/// Prices a full reroute of edge `e` from `src` to `dst` along `comm`'s route.  The
-/// edge's current route is cleared inside a speculation, so the new route does not
-/// contend with the edge's own old hops; the builder is left unchanged.
-fn price_reroute(
-    builder: &mut ScheduleBuilder<'_>,
-    comm: &CommModel,
-    e: EdgeId,
-    src: ProcId,
-    dst: ProcId,
-    ready: f64,
-) -> (Vec<MessageHop>, f64) {
-    builder.speculate(|b| {
-        b.clear_route(e);
-        route_message(b, comm, e, src, dst, ready)
-    })
+/// The link joining `pivot` and its neighbour `py`.
+fn joining_link(builder: &ScheduleBuilder<'_>, pivot: ProcId, py: ProcId) -> LinkId {
+    builder
+        .system()
+        .topology
+        .link_between(pivot, py)
+        .expect("migration target must be a neighbour of the pivot")
+}
+
+/// The half of a migration of `t` from `pivot` to `py` that decides `t`'s finish:
+/// re-route its incoming messages, then place it on `py`.  Returns its finish.
+/// Generic over [`Booking`], so pricing (a tentative view) and committing
+/// ([`ScheduleBuilder`]) run the same steps.
+fn route_incoming_and_place<'a>(
+    book: &mut impl Booking<'a>,
+    t: TaskId,
+    pivot: ProcId,
+    py: ProcId,
+    cfg: &BsaConfig,
+    comm: Option<&CommModel>,
+    remote: &mut Vec<(EdgeId, f64)>,
+) -> f64 {
+    let graph = book.committed().graph();
+    let system = book.committed().system();
+    let link = joining_link(book.committed(), pivot, py);
+
+    // Remote incoming messages either start a fresh single-hop route pivot -> py (their
+    // producer still sits on the pivot), extend their existing route (which currently
+    // terminates at the pivot) by one hop, or — when the producer's processor happens to be
+    // directly connected to `py` and that is faster — get rescheduled on the direct link
+    // (the paper's "optimized routes" property of incremental message scheduling).
+    remote.clear();
+    let mut drt = 0.0f64;
+    for &eid in graph.in_edges(t) {
+        let src = graph.edge(eid).src;
+        let b = book.committed();
+        let src_proc = b.proc_of(src).expect("all tasks are placed");
+        if src_proc == py {
+            // Becomes a local message.
+            drt = drt.max(b.finish_of(src));
+            book.clear_route(eid);
+        } else {
+            remote.push((eid, b.finish_of(src)));
+        }
+    }
+    // Book the earliest-ready messages first for tighter packing on the shared link.
+    remote.sort_by(|a, b| a.1.total_cmp(&b.1));
+    for &(eid, src_finish) in remote.iter() {
+        let b = book.committed();
+        let src_proc = b
+            .proc_of(graph.edge(eid).src)
+            .expect("all tasks are placed");
+        let dur = b.transfer_time(link, eid);
+        // Option A: route (or keep routing) through the pivot and add the final hop.
+        let ready_at_pivot = if src_proc == pivot {
+            src_finish
+        } else {
+            b.route(eid).last().map_or(src_finish, |h| h.finish)
+        };
+        let via_pivot_start = book.earliest_link_slot(link, pivot, ready_at_pivot, dur);
+        let via_pivot_arrival = via_pivot_start + dur;
+        // Option B (only for producers that already migrated off the pivot): a direct link
+        // from the producer's processor to py, rescheduling the message from scratch.
+        let direct = if src_proc != pivot {
+            system.topology.link_between(src_proc, py).map(|dl| {
+                let ddur = b.transfer_time(dl, eid);
+                let s = book.earliest_link_slot(dl, src_proc, src_finish, ddur);
+                (dl, s, s + ddur)
+            })
+        } else {
+            None
+        };
+        // Option C (cost-aware policies only): a full reroute along the communication
+        // model's route from the producer to py, priced with the message's own route
+        // hidden.  Skipped when the policy route is the direct link option B already
+        // prices.
+        let policy_route = comm
+            .filter(|cm| cm.hops(src_proc, py) > 1)
+            .map(|cm| (cm, book.price_route(cm, eid, src_proc, py, src_finish)));
+        let arrival = match (direct, policy_route) {
+            (_, Some((cm, a)))
+                if a < via_pivot_arrival && direct.map_or(true, |(_, _, da)| a < da) =>
+            {
+                book.book_route(cm, eid, src_proc, py, src_finish)
+            }
+            (Some((dl, s, a)), _) if a < via_pivot_arrival => {
+                book.clear_route(eid);
+                book.push_hop(
+                    eid,
+                    MessageHop {
+                        link: dl,
+                        from: src_proc,
+                        to: py,
+                        start: s,
+                        finish: a,
+                    },
+                );
+                a
+            }
+            _ => {
+                if src_proc == pivot {
+                    // Producer still on the pivot: a fresh single-hop route.
+                    book.clear_route(eid);
+                }
+                // Otherwise the route already terminates at the pivot: extend it by one
+                // hop in place instead of re-booking every existing hop.
+                book.push_hop(
+                    eid,
+                    MessageHop {
+                        link,
+                        from: pivot,
+                        to: py,
+                        start: via_pivot_start,
+                        finish: via_pivot_arrival,
+                    },
+                );
+                via_pivot_arrival
+            }
+        };
+        drt = drt.max(arrival);
+    }
+
+    // --- the task itself ---------------------------------------------------------------
+    let b = book.committed();
+    let exec = b.exec_cost(t, py);
+    let st = if cfg.insertion {
+        b.earliest_proc_slot(py, drt, exec)
+    } else {
+        b.earliest_proc_append(py, drt)
+    };
+    book.place(t, py, st)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! ids) is checked here first and surfaced as a [`WireError`].
 
 use crate::json::{self, obj, u, Value};
+use crate::server::MAX_REQUEST_BYTES;
 use bsa::network::{
     CommCostModel, ExecutionCostMatrix, HeterogeneousSystem, LinkId, LinkMode, ProcId, RoutePolicy,
     Topology,
@@ -578,6 +579,10 @@ pub fn decode_delta(v: &Value) -> Result<ProblemDelta, WireError> {
 /// The pair is *well-formed* on return (every index in range, shapes consistent,
 /// graph acyclic) but not yet problem-validated — run it through `Problem::new` (or
 /// hit the daemon's artifact cache) before solving.
+///
+/// Counts are capped before anything is sized by them: more processors than
+/// `links + 1` (no such system is connected), or a homogeneous default `exec` with
+/// more than [`MAX_REQUEST_BYTES`] cells, is rejected without allocating.
 pub fn decode_problem(v: &Value) -> Result<(TaskGraph, HeterogeneousSystem), WireError> {
     let tasks = field(v, "tasks")?
         .as_arr()
@@ -633,6 +638,25 @@ pub fn decode_problem(v: &Value) -> Result<(TaskGraph, HeterogeneousSystem), Wir
     let links = field(sys, "links")?
         .as_arr()
         .ok_or_else(|| bad("field \"links\" must be an array"))?;
+    // Admission caps, checked before anything is sized by the declared counts: a tiny
+    // request must not make the daemon build millions of processors.  Fewer than
+    // `processors − 1` links cannot connect the system (`Problem::new` rejects it
+    // anyway), and a homogeneous default larger than any `exec` one request could
+    // spell out is refused outright.
+    if processors > links.len() + 1 {
+        return Err(bad(format!(
+            "{processors} processors cannot be connected by {} links",
+            links.len()
+        )));
+    }
+    let default_exec = matches!(sys.get("exec"), None | Some(Value::Null));
+    if default_exec && graph.num_tasks().saturating_mul(processors) > MAX_REQUEST_BYTES {
+        return Err(bad(format!(
+            "a homogeneous exec matrix of {} tasks x {processors} processors exceeds \
+             {MAX_REQUEST_BYTES} cells",
+            graph.num_tasks()
+        )));
+    }
     let mut pairs = Vec::with_capacity(links.len());
     let mut factors = Vec::with_capacity(links.len());
     for l in links {
@@ -867,6 +891,41 @@ mod tests {
             let v = parse(bad).unwrap();
             assert!(decode_problem(&v).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn problem_counts_are_capped_before_allocating() {
+        // Two million declared processors and no links: rejected before a single
+        // processor is built (it could never be connected anyway).
+        let v = parse(
+            r#"{"tasks":[{"name":"a","cost":1}],"edges":[],
+                "system":{"processors":2000000,"links":[]}}"#,
+        )
+        .unwrap();
+        let err = decode_problem(&v).unwrap_err();
+        assert!(err.0.contains("cannot be connected"), "{}", err.0);
+
+        // A connected path whose homogeneous default would hold more cells than any
+        // request could spell out; the same tasks on a small system decode.
+        let problem = |tasks: usize, processors: usize| {
+            let tasks: Vec<String> = (0..tasks)
+                .map(|i| format!(r#"{{"name":"t{i}","cost":1}}"#))
+                .collect();
+            let links: Vec<String> = (1..processors)
+                .map(|p| format!("[{},{p},1]", p - 1))
+                .collect();
+            parse(&format!(
+                r#"{{"tasks":[{}],"edges":[],"system":{{"processors":{processors},"links":[{}]}}}}"#,
+                tasks.join(","),
+                links.join(",")
+            ))
+            .unwrap()
+        };
+        let side = (MAX_REQUEST_BYTES as f64).sqrt() as usize + 1;
+        let err = decode_problem(&problem(side, side)).unwrap_err();
+        assert!(err.0.contains("exceeds"), "{}", err.0);
+        let (graph, system) = decode_problem(&problem(side, 4)).unwrap();
+        assert_eq!((graph.num_tasks(), system.num_processors()), (side, 4));
     }
 
     #[test]

@@ -232,6 +232,11 @@ fn hostile_wire_input_is_an_error_not_a_panic() {
         r#"{"tasks":[{"name":"a","cost":1}],"edges":[[0,7,1]],"system":{"processors":1,"links":[]}}"#,
         // Negative task cost.
         r#"{"tasks":[{"name":"a","cost":-3}],"edges":[],"system":{"processors":1,"links":[]}}"#,
+        // Two million processors and no links: without the admission cap this decodes
+        // (150 MB, for a system `Problem::new` rejects as disconnected).
+        r#"{"tasks":[{"name":"a","cost":1}],"edges":[],"system":{"processors":2000000,"links":[]}}"#,
+        // A processor count no memory could hold, declared in a few dozen bytes.
+        r#"{"tasks":[{"name":"a","cost":1}],"edges":[],"system":{"processors":1000000000000,"links":[]}}"#,
     ];
     for text in bad_problems {
         let v = json::parse(text).unwrap();

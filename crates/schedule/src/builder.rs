@@ -17,10 +17,12 @@
 //! reuses persistent arenas and checks only the messages of the tasks changed since
 //! the last re-timing.
 //!
-//! Speculative work (evaluating a candidate migration or repair without committing it)
-//! goes through the transactional API in [`crate::txn`]:
-//! [`ScheduleBuilder::begin_txn`] / [`ScheduleBuilder::commit`] /
-//! [`ScheduleBuilder::rollback`], or the [`ScheduleBuilder::speculate`] wrapper.
+//! Mutations are transactional ([`crate::txn`]): [`ScheduleBuilder::begin_txn`] /
+//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] undo a committed
+//! migration whose re-timing fails.  Evaluating a candidate migration or repair
+//! without committing it mutates nothing: it books on a read-only
+//! [`Tentative`](crate::overlay::Tentative) view over `&ScheduleBuilder`, through the
+//! same [`Booking`](crate::overlay::Booking) steps the builder commits with.
 
 use crate::incremental::{recompute_incremental, RetimeStats};
 use crate::recompute::{recompute, RecomputeError};

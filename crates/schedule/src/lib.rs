@@ -22,10 +22,13 @@
 //!   arenas, with the oracle's results and errors.
 //!
 //! Mutations are transactional ([`txn`]): [`ScheduleBuilder::begin_txn`] /
-//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give speculative
-//! algorithms an undo log instead of a whole-builder clone.  The finished, immutable
-//! [`Schedule`] can then be *validated* against the full contention model
-//! ([`validate::validate`]) and summarised ([`metrics::ScheduleMetrics`]).
+//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give an accepted move
+//! whose re-timing fails an undo log instead of a whole-builder clone.  Candidates are
+//! priced without mutating anything, on a read-only [`overlay::Tentative`] view that
+//! answers gap queries as if the candidate's bookings were made ([`overlay`]).  The
+//! finished, immutable [`Schedule`] can then be *validated* against the full
+//! contention model ([`validate::validate`]) and summarised
+//! ([`metrics::ScheduleMetrics`]).
 //!
 //! Message routing over a pre-computed table goes through [`router`], the one booking
 //! code path every [`bsa_network::CommModel`] consumer shares (DLS/HEFT message
@@ -61,6 +64,7 @@ pub mod delta;
 pub mod gantt;
 pub mod incremental;
 pub mod metrics;
+pub mod overlay;
 pub mod pool;
 pub mod portfolio;
 pub mod recompute;
@@ -77,6 +81,7 @@ pub use builder::ScheduleBuilder;
 pub use delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
 pub use incremental::RetimeStats;
 pub use metrics::ScheduleMetrics;
+pub use overlay::{Booking, Overlay, Tentative};
 pub use portfolio::{Portfolio, PortfolioEntry};
 pub use recompute::RecomputeError;
 pub use resolve::ResolveError;

@@ -15,15 +15,15 @@
 //!    stays acyclic).
 //! 2. **Adopt** every surviving placement and route verbatim (ids remapped through the
 //!    [`ProblemUpdate`] maps).  Adoption re-plays them through the transactional
-//!    [`ScheduleBuilder`] mutation path, so the repair loop can speculate against the
-//!    adopted state exactly as the cold solver does.
+//!    [`ScheduleBuilder`] mutation path, so the repair loop prices and books against
+//!    the adopted state exactly as the cold solvers do.
 //! 3. **Repair** the evicted tasks in topological order: each candidate processor is
-//!    scored inside a speculation that books the task's incoming messages with
-//!    [`crate::router::book_incoming`] (the table-driven solvers' booking loop, so
-//!    each message sees the ones booked before it; routes over downed links are
-//!    recomputed only for the affected pairs) and places the task in the earliest
-//!    gap; the best finish wins, ties to the lower processor id, and the winner is
-//!    committed through the same code.
+//!    priced read-only on a [`Tentative`](crate::overlay::Tentative) view that books
+//!    the task's incoming messages with [`crate::router::book_incoming`] (the
+//!    table-driven solvers' booking loop, so each message sees the ones booked before
+//!    it; routes over downed links are recomputed only for the affected pairs) and
+//!    places the task in the earliest gap; the best finish wins, ties to the lower
+//!    processor id, and the winner is committed through the same code on the builder.
 //! 4. **Re-time** once with `recompute_times_incremental`.  Every task is placed by
 //!    then, so this is one flat sweep that checks the messages of the tasks steps 2–3
 //!    placed or re-routed; it compacts the schedule exactly like a cold solver's final
@@ -42,6 +42,7 @@
 use crate::builder::ScheduleBuilder;
 use crate::delta::{DeltaError, ProblemDelta, ProblemUpdate};
 use crate::metrics::ScheduleMetrics;
+use crate::overlay::{Booking, Overlay};
 use crate::router::book_incoming;
 use crate::schedule::MessageHop;
 use crate::solver::{
@@ -216,6 +217,7 @@ impl Solution {
         let mut stop = StopReason::Converged;
         let mut budget_hit = false;
         let mut migrations = Vec::with_capacity(repair_order.len());
+        let mut overlay = Overlay::default();
         for &t in &repair_order {
             // Budgets never abort a repair (a partial repair is not a feasible
             // answer); the first exhaustion is recorded as the stop reason.
@@ -228,7 +230,7 @@ impl Solution {
             let mut best_finish = f64::INFINITY;
             let mut best_proc = None;
             for p in system.topology.proc_ids() {
-                let finish = b.speculate(|b| book_and_place(b, &comm, t, p));
+                let finish = price_repair(&b, &mut overlay, &comm, t, p);
                 if finish < best_finish {
                     best_finish = finish;
                     best_proc = Some(p);
@@ -309,13 +311,26 @@ fn repair_topo_order(graph: &bsa_taskgraph::TaskGraph, evicted: &[bool]) -> Vec<
         .collect()
 }
 
-/// Books every incoming message of `t` (producers are placed — adopted or repaired
-/// earlier in topological order), places `t` in the earliest gap on `p`, and returns
-/// its finish time.  Run inside `speculate` to score a candidate, or directly to
-/// commit the winner.
-fn book_and_place(b: &mut ScheduleBuilder<'_>, comm: &CommModel, t: TaskId, p: ProcId) -> f64 {
-    let ready = book_incoming(b, comm, t, p);
+/// The finish time the unplaced task `t` would get if repaired onto `p`: every
+/// incoming message booked (producers are placed — adopted or repaired earlier in
+/// topological order), then `t` placed in the earliest gap.  Priced read-only on a
+/// tentative view over `builder`, reusing `overlay`'s buffers, so it allocates nothing
+/// in steady state; committing the same repair gives the same finish.
+pub fn price_repair(
+    builder: &ScheduleBuilder<'_>,
+    overlay: &mut Overlay,
+    comm: &CommModel,
+    t: TaskId,
+    p: ProcId,
+) -> f64 {
+    book_and_place(&mut overlay.over(builder), comm, t, p)
+}
+
+/// Books every incoming message of `t`, places `t` in the earliest gap on `p`, and
+/// returns its finish time: pricing on a tentative view, committing on the builder.
+fn book_and_place<'a>(book: &mut impl Booking<'a>, comm: &CommModel, t: TaskId, p: ProcId) -> f64 {
+    let ready = book_incoming(book, comm, t, p);
+    let b = book.committed();
     let start = b.earliest_proc_slot(p, ready, b.exec_cost(t, p));
-    b.place_task(t, p, start);
-    b.finish_of(t)
+    book.place(t, p, start)
 }

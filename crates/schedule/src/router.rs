@@ -7,26 +7,30 @@
 //! route in turn.  [`route_message`] and [`data_available_time`] price such a route
 //! against the builder's current link timelines; [`book_incoming`] routes and books
 //! every incoming message of a task placed on a processor.  BSA's cost-aware full
-//! reroute and `Solution::resolve_onto`'s repair use the same helpers.
+//! reroute and `Solution::resolve_onto`'s repair use the same walk.
 //!
 //! Pricing borrows the builder read-only.  A table route is a simple path (the routing
 //! table follows a deterministic next hop until it reaches the target), so no link
 //! slot repeats along it and no hop of the route can contend with an earlier one: each
 //! hop is one [`ScheduleBuilder::earliest_link_slot`] query after the previous hop's
 //! finish.  The precondition is that the edge is unrouted, so its own old hops are not
-//! on the timelines; a caller re-routing a routed edge clears it inside
-//! [`ScheduleBuilder::speculate`] first.  Booking is direction-aware through the same
+//! on the timelines.  [`book_incoming`] is generic over [`Booking`]: on the builder it
+//! commits, and on a [`Tentative`](crate::overlay::Tentative) view it prices a
+//! candidate whose messages must see each other, or whose edge's own route must be
+//! hidden, without touching the builder.  Booking is direction-aware through the same
 //! query: on full-duplex links only same-direction traffic contends.
 
 use crate::builder::ScheduleBuilder;
+use crate::overlay::Booking;
 use crate::schedule::MessageHop;
 use bsa_network::{CommModel, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
 
-/// Walks the route of the unrouted edge `e` from `src_proc` to `dst_proc`, starting no
-/// earlier than `ready`, hands each hop to `on_hop` and returns the arrival time.
-fn walk_route(
-    builder: &ScheduleBuilder<'_>,
+/// Walks the route of edge `e` from `src_proc` to `dst_proc`, starting no earlier than
+/// `ready`, against `book`'s link timelines, hands each hop to `on_hop` and returns the
+/// arrival time.  The edge's own route must be absent from `book`'s timelines.
+pub(crate) fn walk_route<'a, B: Booking<'a> + ?Sized>(
+    book: &B,
     comm: &CommModel,
     e: EdgeId,
     src_proc: ProcId,
@@ -34,10 +38,10 @@ fn walk_route(
     ready: f64,
     mut on_hop: impl FnMut(MessageHop),
 ) -> f64 {
-    debug_assert!(builder.route(e).is_empty(), "priced edges must be unrouted");
     if src_proc == dst_proc {
         return ready;
     }
+    let builder = book.committed();
     let links = comm
         .route(src_proc, dst_proc)
         .expect("communication model covers connected topologies");
@@ -51,7 +55,7 @@ fn walk_route(
             .other_end(at)
             .expect("route links are adjacent to the current processor");
         let dur = builder.transfer_time(link, e);
-        let start = builder.earliest_link_slot(link, at, cursor, dur);
+        let start = book.earliest_link_slot(link, at, cursor, dur);
         cursor = start + dur;
         on_hop(MessageHop {
             link,
@@ -81,6 +85,7 @@ pub fn route_message(
     dst_proc: ProcId,
     ready: f64,
 ) -> (Vec<MessageHop>, f64) {
+    debug_assert!(builder.route(e).is_empty(), "priced edges must be unrouted");
     let mut hops = Vec::new();
     let arrival = walk_route(builder, comm, e, src_proc, dst_proc, ready, |hop| {
         hops.push(hop)
@@ -113,6 +118,7 @@ pub fn data_available_time(
         .in_edges(t)
         .iter()
         .map(|&e| {
+            debug_assert!(builder.route(e).is_empty(), "priced edges must be unrouted");
             let (sp, ready) = producer(builder, e);
             walk_route(builder, comm, e, sp, p, ready, |_| {})
         })
@@ -120,22 +126,23 @@ pub fn data_available_time(
 }
 
 /// Routes every incoming message of task `t` toward processor `p` and books it with
-/// [`ScheduleBuilder::set_route`], in in-edge order, so each message sees the ones
-/// booked before it.  Returns the data-ready time of `t` on `p`.
+/// [`Booking::book_route`], in in-edge order, so each message sees the ones booked
+/// before it.  Returns the data-ready time of `t` on `p`.  On the builder this
+/// commits; on a [`Tentative`](crate::overlay::Tentative) view it prices, and
+/// allocates nothing once the view's buffers have grown.
 ///
 /// Every predecessor of `t` must already be placed and every incoming edge unrouted.
-pub fn book_incoming(
-    builder: &mut ScheduleBuilder<'_>,
+pub fn book_incoming<'a, B: Booking<'a>>(
+    book: &mut B,
     comm: &CommModel,
     t: TaskId,
     p: ProcId,
 ) -> f64 {
+    let graph = book.committed().graph();
     let mut da = 0.0f64;
-    for &e in builder.graph().in_edges(t) {
-        let (sp, ready) = producer(builder, e);
-        let (hops, arrival) = route_message(builder, comm, e, sp, p, ready);
-        builder.set_route(e, hops);
-        da = da.max(arrival);
+    for &e in graph.in_edges(t) {
+        let (sp, ready) = producer(book.committed(), e);
+        da = da.max(book.book_route(comm, e, sp, p, ready));
     }
     da
 }
@@ -143,6 +150,7 @@ pub fn book_incoming(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::Overlay;
     use bsa_network::builders::ring;
     use bsa_network::{HeterogeneousSystem, RoutePolicy};
     use bsa_taskgraph::{TaskGraph, TaskGraphBuilder};
@@ -217,17 +225,27 @@ mod tests {
         let comm = sys.comm_model(RoutePolicy::ShortestHop);
         let (hops, _) = route_message(&builder, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0);
         builder.set_route(EdgeId(0), hops.clone());
-        // Re-evaluating the same edge with its route cleared inside a speculation sees
-        // the link as free where its own hops sit …
-        let (hops2, arrival2) = builder.speculate(|b| {
-            b.clear_route(EdgeId(0));
-            route_message(b, &comm, EdgeId(0), ProcId(0), ProcId(1), 10.0)
-        });
-        assert_eq!(hops2, hops);
-        assert_eq!(arrival2, 14.0);
-        // … and the speculation left the committed booking untouched.
+        let link = hops[0].link;
+        assert_eq!(builder.earliest_link_slot(link, ProcId(0), 10.0, 4.0), 14.0);
+        // Priced on a tentative view, the re-route masks the edge's own booking and
+        // sees the link free where its hops sit …
+        let mut overlay = Overlay::default();
+        let mut view = overlay.over(&builder);
+        assert_eq!(
+            view.price_route(&comm, EdgeId(0), ProcId(0), ProcId(1), 10.0),
+            14.0
+        );
+        // … pricing alone leaves the old hops in the way …
+        assert_eq!(view.earliest_link_slot(link, ProcId(0), 10.0, 4.0), 14.0);
+        // … and booking the re-route replaces them: only the new hop occupies the link.
+        assert_eq!(
+            view.book_route(&comm, EdgeId(0), ProcId(0), ProcId(1), 10.0),
+            14.0
+        );
+        assert_eq!(view.earliest_link_slot(link, ProcId(0), 10.0, 4.0), 14.0);
+        // The committed booking is untouched.
         assert_eq!(builder.route(EdgeId(0)), &hops[..]);
-        assert_eq!(builder.link_timeline(hops[0].link).len(), 1);
+        assert_eq!(builder.link_timeline(link).len(), 1);
     }
 
     #[test]

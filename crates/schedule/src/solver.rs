@@ -714,7 +714,8 @@ impl RetimeTotals {
 /// BSA's candidate-pricing work, the one entry of [`SolveTrace::thread_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ThreadStats {
-    /// Speculative candidate evaluations (`speculate` + rollback) performed.
+    /// Candidate evaluations performed: one per neighbour priced on a read-only
+    /// tentative view (see [`crate::overlay`]).
     pub evals: u64,
 }
 

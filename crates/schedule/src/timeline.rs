@@ -22,7 +22,7 @@
 //!
 //! On timelines with thousands of busy slots the residual linear scan of
 //! [`Timeline::earliest_gap`] — from the first interval still alive at `ready` to the
-//! first gap that fits — dominates the speculation loops of the migration phase
+//! first gap that fits — dominates the pricing loops of the migration phase
 //! (DESIGN.md §14).  The timeline therefore keeps a lazily maintained summary of each
 //! chunk of `CHUNK` consecutive intervals:
 //!
@@ -53,6 +53,12 @@
 //! mirror builders require.  Summaries are pure caches: equality ([`PartialEq`])
 //! compares intervals only, so builders that took different mutation paths to the
 //! same schedule still compare equal.
+//!
+//! [`Timeline::earliest_gap_masked`] asks the same question of the timeline as a
+//! tentative booking would leave it — some intervals masked, some windows added —
+//! without mutating it, on the same walk: a chunk holding a masked position or
+//! receiving a window is scanned, every other chunk may still be skipped.  Pricing a
+//! candidate therefore leaves every summary valid.
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -138,6 +144,115 @@ impl GapIndex {
     }
 }
 
+/// The scalar gap rule for one busy window `[start, finish)` met by a scan at
+/// `candidate`: `Break` if the item fits entirely before the window, otherwise
+/// `Continue` with the candidate pushed past it.
+#[inline]
+fn step(candidate: f64, duration: f64, start: f64, finish: f64) -> ControlFlow<f64, f64> {
+    if candidate + duration <= start + TIME_EPS {
+        ControlFlow::Break(candidate)
+    } else if finish > candidate {
+        ControlFlow::Continue(finish)
+    } else {
+        ControlFlow::Continue(candidate)
+    }
+}
+
+/// The overlay side of [`Timeline::earliest_gap_masked`]'s walk: the windows not yet
+/// merged and the masked positions not yet passed.
+struct Overlaid<'q> {
+    extra: &'q [(f64, f64)],
+    masked: &'q [usize],
+}
+
+impl Overlaid<'_> {
+    /// Merges every window that lands before an interval starting at `start`, with the
+    /// scalar rule.  `Timeline::insert` puts a window before the first interval whose
+    /// start is not below the window's start − `TIME_EPS`.
+    #[inline]
+    fn merge_before(
+        &mut self,
+        start: f64,
+        mut candidate: f64,
+        duration: f64,
+    ) -> ControlFlow<f64, f64> {
+        while let Some((&(ws, wf), rest)) = self.extra.split_first() {
+            if start < ws - TIME_EPS {
+                break;
+            }
+            candidate = step(candidate, duration, ws, wf)?;
+            self.extra = rest;
+        }
+        ControlFlow::Continue(candidate)
+    }
+
+    /// Whether a chunk that ends before position `hi`, and whose last interval starts
+    /// at `last_start`, holds no masked position and has no window landing inside it.
+    /// Windows that land before its first interval must be merged already.
+    #[inline]
+    fn clear_of(&self, hi: usize, last_start: f64) -> bool {
+        self.masked.first().map_or(true, |&m| m >= hi)
+            && self
+                .extra
+                .first()
+                .map_or(true, |&(ws, _)| last_start < ws - TIME_EPS)
+    }
+
+    /// The scalar rule over `chunk`, whose first interval sits at position `at`:
+    /// masked intervals are skipped and windows merged in where they land.  Runs of
+    /// intervals that no window lands in are read with the plain scan.
+    #[inline]
+    fn scan<P: Copy>(
+        &mut self,
+        chunk: &[Interval<P>],
+        at: usize,
+        mut candidate: f64,
+        duration: f64,
+    ) -> ControlFlow<f64, f64> {
+        let mut j = 0;
+        while j < chunk.len() {
+            // The run up to the next masked interval, or to the end of the chunk.
+            let stop = self
+                .masked
+                .first()
+                .map_or(chunk.len(), |&m| (m - at).min(chunk.len()));
+            let run = &chunk[j..stop];
+            let lands = match (self.extra.first(), run.last()) {
+                (Some(&(ws, _)), Some(last)) => last.start >= ws - TIME_EPS,
+                _ => false,
+            };
+            if lands {
+                for iv in run {
+                    #[cfg(test)]
+                    probe::scanned();
+                    candidate = self.merge_before(iv.start, candidate, duration)?;
+                    candidate = step(candidate, duration, iv.start, iv.finish)?;
+                }
+            } else {
+                candidate = Timeline::scan(run, candidate, duration)?;
+            }
+            if stop < chunk.len() {
+                candidate = self.merge_before(chunk[stop].start, candidate, duration)?;
+                self.masked = &self.masked[1..];
+            }
+            j = stop + 1;
+        }
+        ControlFlow::Continue(candidate)
+    }
+
+    /// The position of the next masked interval, or of the interval the next window
+    /// lands before (the length when it lands after the last), whichever comes first;
+    /// `usize::MAX` when both are spent.  Starts are sorted, so the landing position
+    /// is a binary search.
+    #[inline]
+    fn next_event<P>(&self, intervals: &[Interval<P>]) -> usize {
+        let window = self.extra.first().map_or(usize::MAX, |&(ws, _)| {
+            intervals.partition_point(|iv| iv.start < ws - TIME_EPS)
+        });
+        self.masked.first().map_or(window, |&m| m.min(window))
+    }
+}
+
 /// A sorted sequence of non-overlapping busy intervals.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Timeline<P> {
@@ -204,15 +319,44 @@ impl<P: Copy> Timeline<P> {
         for iv in intervals {
             #[cfg(test)]
             probe::scanned();
-            if candidate + duration <= iv.start + TIME_EPS {
-                // Fits entirely before this busy interval.
-                return ControlFlow::Break(candidate);
-            }
-            if iv.finish > candidate {
-                candidate = iv.finish;
-            }
+            candidate = step(candidate, duration, iv.start, iv.finish)?;
         }
         ControlFlow::Continue(candidate)
+    }
+
+    /// The candidate after skipping chunk `k` (whose intervals are `chunk`) by its
+    /// summary, or `None` when the chunk may hold a fit and must be scanned.
+    ///
+    /// A fit before the chunk's first interval needs `first_start − candidate ≥
+    /// duration`; a fit before interval `j > 0` needs `start[j] − candidate` and
+    /// `start[j] − (max finish before j)` to reach it, and those are at most
+    /// `last_start − candidate` and `room`.  If the best of these bounds falls short
+    /// by more than a floating-point safety margin, no fit exists and the chunk is
+    /// skipped whole, its `pmax` folded into the candidate.  The margin errs toward
+    /// scanning (a scanned chunk is always exact), never toward a wrong skip.
+    #[inline]
+    fn skip_chunk(
+        idx: &mut GapIndex,
+        k: usize,
+        chunk: &[Interval<P>],
+        candidate: f64,
+        duration: f64,
+    ) -> Option<f64> {
+        let summary = idx.summary(k, chunk);
+        let first_start = chunk[0].start;
+        let last_start = chunk[chunk.len() - 1].start;
+        let bound = (first_start - candidate).max((last_start - candidate).min(summary.room));
+        let margin = 1e-12
+            * (first_start.abs()
+                + last_start.abs()
+                + candidate.abs()
+                + summary.pmax.abs()
+                + duration);
+        (bound < duration - TIME_EPS - margin).then_some(if summary.pmax > candidate {
+            summary.pmax
+        } else {
+            candidate
+        })
     }
 
     /// Earliest start time `s >= ready` such that `[s, s + duration)` does not overlap any
@@ -235,56 +379,129 @@ impl<P: Copy> Timeline<P> {
                 Self::scan(&self.intervals[first_alive..], ready, duration);
             return s;
         }
+        // The scan state is `candidate = max(ready, max finish of scanned intervals)`.
+        // Intervals before `first_alive` all finish before `ready`, so folding their
+        // chunks' pmax in would be absorbed by `ready` anyway — start from `ready`.
+        let (ControlFlow::Break(s) | ControlFlow::Continue(s)) =
+            self.walk(Some(&mut self.indexed(n)), first_alive, n, ready, duration);
+        s
+    }
+
+    /// The chunked walk over positions `i..end`, `end` being a chunk boundary or the
+    /// length, with running candidate `candidate`: `Break` with the fit, or `Continue`
+    /// with the candidate after position `end`.  Without an index every interval is
+    /// scanned.
+    fn walk(
+        &self,
+        mut idx: Option<&mut GapIndex>,
+        mut i: usize,
+        end: usize,
+        mut candidate: f64,
+        duration: f64,
+    ) -> ControlFlow<f64, f64> {
+        while i < end {
+            let k = i / CHUNK;
+            let hi = ((k + 1) * CHUNK).min(end);
+            let chunk = &self.intervals[i..hi];
+            if let Some(idx) = idx.as_deref_mut().filter(|_| i == k * CHUNK) {
+                if let Some(c) = Self::skip_chunk(idx, k, chunk, candidate, duration) {
+                    candidate = c;
+                    i = hi;
+                    continue;
+                }
+            }
+            candidate = Self::scan(chunk, candidate, duration)?;
+            i = hi;
+        }
+        ControlFlow::Continue(candidate)
+    }
+
+    /// [`Timeline::earliest_gap`] on the timeline as it would stand with the intervals
+    /// at the positions in `masked` removed and the windows in `extra` inserted: the
+    /// query a tentative booking prices with, without mutating the timeline.
+    ///
+    /// `masked` lists interval positions in increasing order.  `extra` lists
+    /// `(start, finish)` windows, finish stored as [`Timeline::insert`] would
+    /// (`start + duration`), in the order successive inserts would leave them.  Each
+    /// window lands where `insert` would put it: before the first interval whose start
+    /// is at or past the window's start − [`TIME_EPS`].
+    ///
+    /// The walk is `earliest_gap`'s.  A chunk is skipped by its summary only when it
+    /// holds no masked position and no window lands inside it; every other chunk is
+    /// scanned with the exact scalar rule, masked positions skipped and windows merged
+    /// in.  So the answer is bit-identical to removing, inserting and then calling
+    /// `earliest_gap`, and with nothing masked or booked it *is* `earliest_gap`.
+    pub fn earliest_gap_masked(
+        &self,
+        ready: f64,
+        duration: f64,
+        extra: &[(f64, f64)],
+        masked: &[usize],
+    ) -> f64 {
+        if extra.is_empty() && masked.is_empty() {
+            return self.earliest_gap(ready, duration);
+        }
+        let (ControlFlow::Break(s) | ControlFlow::Continue(s)) =
+            self.walk_masked(ready, duration, extra, masked);
+        s
+    }
+
+    /// The walk behind [`Timeline::earliest_gap_masked`]: `Break` with the fit, or
+    /// `Continue` with the candidate after every interval and window.
+    fn walk_masked(
+        &self,
+        ready: f64,
+        duration: f64,
+        extra: &[(f64, f64)],
+        masked: &[usize],
+    ) -> ControlFlow<f64, f64> {
+        let n = self.intervals.len();
+        let first_alive = self
+            .intervals
+            .partition_point(|iv| iv.finish < ready - TIME_EPS);
+        let mut overlay = Overlaid {
+            extra,
+            masked: &masked[masked.partition_point(|&m| m < first_alive)..],
+        };
+        let mut idx = (n - first_alive >= CHUNK_MIN_LEN).then(|| self.indexed(n));
+        let mut candidate = ready;
+        let mut i = first_alive;
+        while i < n {
+            // The plain walk up to the chunk of the overlay's next event.
+            let stop = (overlay.next_event(&self.intervals) / CHUNK * CHUNK).clamp(i, n);
+            candidate = self.walk(idx.as_deref_mut(), i, stop, candidate, duration)?;
+            i = stop;
+            if i == n {
+                break;
+            }
+            let k = i / CHUNK;
+            let hi = ((k + 1) * CHUNK).min(n);
+            let chunk = &self.intervals[i..hi];
+            if let Some(idx) = idx.as_mut().filter(|_| i == k * CHUNK) {
+                candidate = overlay.merge_before(chunk[0].start, candidate, duration)?;
+                if overlay.clear_of(hi, chunk[chunk.len() - 1].start) {
+                    if let Some(c) = Self::skip_chunk(idx, k, chunk, candidate, duration) {
+                        candidate = c;
+                        i = hi;
+                        continue;
+                    }
+                }
+            }
+            candidate = overlay.scan(chunk, i, candidate, duration)?;
+            i = hi;
+        }
+        // Windows that land after the last interval.
+        overlay.merge_before(f64::INFINITY, candidate, duration)
+    }
+
+    /// The gap index, sized for `n` intervals.
+    fn indexed(&self, n: usize) -> std::cell::RefMut<'_, GapIndex> {
         let mut idx = self.index.borrow_mut();
         let num_chunks = n.div_ceil(CHUNK);
         if idx.chunks.len() < num_chunks {
             idx.chunks.resize(num_chunks, None);
         }
-
-        // The scan state is `candidate = max(ready, max finish of scanned intervals)`.
-        // Intervals before `first_alive` all finish before `ready`, so folding their
-        // chunks' pmax in would be absorbed by `ready` anyway — start from `ready`.
-        let mut candidate = ready;
-        let mut i = first_alive;
-        while i < n {
-            let k = i / CHUNK;
-            let hi = ((k + 1) * CHUNK).min(n);
-            let chunk = &self.intervals[i..hi];
-            if i == k * CHUNK {
-                // Whole chunk ahead.  A fit before its first interval needs
-                // `first_start − candidate ≥ duration`; a fit before interval `j > 0`
-                // needs `start[j] − candidate` and `start[j] − (max finish before j)`
-                // to reach it, and those are at most `last_start − candidate` and
-                // `room`.  If the best of these bounds falls short by more than a
-                // floating-point safety margin, no fit exists and the chunk is
-                // skipped whole.  The margin errs toward scanning (a scanned chunk is
-                // always exact), never toward a wrong skip.
-                let summary = idx.summary(k, chunk);
-                let first_start = chunk[0].start;
-                let last_start = chunk[chunk.len() - 1].start;
-                let bound =
-                    (first_start - candidate).max((last_start - candidate).min(summary.room));
-                let margin = 1e-12
-                    * (first_start.abs()
-                        + last_start.abs()
-                        + candidate.abs()
-                        + summary.pmax.abs()
-                        + duration);
-                if bound < duration - TIME_EPS - margin {
-                    if summary.pmax > candidate {
-                        candidate = summary.pmax;
-                    }
-                    i = hi;
-                    continue;
-                }
-            }
-            match Self::scan(chunk, candidate, duration) {
-                ControlFlow::Break(start) => return start,
-                ControlFlow::Continue(c) => candidate = c,
-            }
-            i = hi;
-        }
-        candidate
+        idx
     }
 
     /// Earliest start time when only appending after every existing interval is allowed.
@@ -818,5 +1035,99 @@ mod tests {
         let (_, rebuilt) = probe::take();
         assert_eq!(fit_chunk(&t, got), 10);
         assert_eq!(rebuilt, Vec::<usize>::new());
+    }
+
+    // ---- masked queries --------------------------------------------------------------
+
+    /// `t` with the intervals at `masked` removed and `windows` inserted in order, and
+    /// the windows as the masked query takes them: in the order the inserts left them.
+    fn mutated(
+        t: &Timeline<usize>,
+        masked: &[usize],
+        windows: &[(f64, f64)],
+    ) -> (Timeline<usize>, Vec<(f64, f64)>) {
+        let mut m = t.clone();
+        for &pos in masked.iter().rev() {
+            m.remove_index(pos);
+        }
+        for (i, &(start, finish)) in windows.iter().enumerate() {
+            m.insert(start, finish - start, usize::MAX - i);
+        }
+        let extra = m
+            .intervals()
+            .iter()
+            .filter(|iv| iv.payload > usize::MAX - windows.len())
+            .map(|iv| (iv.start, iv.finish))
+            .collect();
+        (m, extra)
+    }
+
+    #[test]
+    fn masked_query_matches_removing_and_inserting() {
+        let mut t = Timeline::new();
+        t.insert(0.0, 10.0, 0usize);
+        t.insert(10.0, 10.0, 1);
+        t.insert(30.0, 10.0, 2);
+        t.insert(50.0, 10.0, 3);
+        // Masking [10, 20) opens a 10-unit hole; a window on [12, 15) splits it again.
+        let (m, extra) = mutated(&t, &[1], &[(12.0, 15.0)]);
+        for (ready, d) in [
+            (0.0, 10.0),
+            (0.0, 2.0),
+            (0.0, 5.0),
+            (16.0, 4.0),
+            (0.0, 25.0),
+        ] {
+            let got = t.earliest_gap_masked(ready, d, &extra, &[1]);
+            assert_eq!(
+                got.to_bits(),
+                m.earliest_gap(ready, d).to_bits(),
+                "{ready} {d}"
+            );
+        }
+        assert_eq!(t.earliest_gap_masked(0.0, 10.0, &[], &[1]), 10.0);
+        assert_eq!(t.earliest_gap_masked(0.0, 10.0, &extra, &[1]), 15.0);
+        // A zero-length window at a base start lands before that interval, as
+        // `insert` puts it; nothing masked or booked is exactly `earliest_gap`.
+        let (m, extra) = mutated(&t, &[], &[(30.0, 30.0)]);
+        assert_eq!(
+            t.earliest_gap_masked(20.0, 0.0, &extra, &[]).to_bits(),
+            m.earliest_gap(20.0, 0.0).to_bits()
+        );
+        assert_eq!(
+            t.earliest_gap_masked(22.0, 3.0, &[], &[]),
+            t.earliest_gap(22.0, 3.0)
+        );
+    }
+
+    #[test]
+    fn masked_query_scans_only_the_chunks_the_overlay_touches() {
+        // Unit holes everywhere: a query for 5 units appends after the last interval.
+        // A mask and a window in chunk 3 force that chunk to be scanned; every other
+        // chunk is still skipped by its summary.
+        let t = packed(2000, |_| 1.0);
+        let pos = 3 * CHUNK + 7;
+        let iv = t.intervals()[pos];
+        let extra = [(iv.start + 0.25, iv.start + 0.5)];
+        let _ = t.earliest_gap(0.0, 50.0); // builds every summary
+        probe::take();
+        let got = t.earliest_gap_masked(0.0, 5.0, &extra, &[pos]);
+        let (scanned, rebuilt) = probe::take();
+        let (m, _) = mutated(&t, &[pos], &extra);
+        assert_eq!(got.to_bits(), m.earliest_gap(0.0, 5.0).to_bits());
+        assert_eq!(got, t.last_finish());
+        assert!(
+            scanned <= 2 * CHUNK,
+            "read {scanned} intervals of {}",
+            t.len()
+        );
+        assert!(
+            rebuilt.is_empty(),
+            "a read-only query invalidated {rebuilt:?}"
+        );
+        // The mask itself opens a fit: a 2.5-unit item lands where the hop was.
+        let d = 2.5;
+        let got = t.earliest_gap_masked(0.0, d, &[], &[pos]);
+        assert_eq!(got, t.intervals()[pos - 1].finish);
     }
 }

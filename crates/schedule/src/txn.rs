@@ -1,4 +1,4 @@
-//! Transactional mutations on a [`ScheduleBuilder`]: undo log, rollback, speculation.
+//! Transactional mutations on a [`ScheduleBuilder`]: undo log and rollback.
 //!
 //! Every mutating operation of the builder ([`ScheduleBuilder::place_task`],
 //! [`ScheduleBuilder::unplace_task`], [`ScheduleBuilder::set_route`],
@@ -8,8 +8,8 @@
 //! restores the builder to its exact pre-transaction state — byte for byte, including
 //! every `f64` instant — without ever cloning the builder.  This is the primitive the
 //! BSA migration loop uses for its "try a migration, keep it only if the re-timing
-//! succeeds" step, and (via [`ScheduleBuilder::speculate`]) the one BSA's candidate
-//! pricing and the warm re-solve's repair pricing use.  See DESIGN.md §7.1.
+//! succeeds" step.  Pricing a candidate needs no transaction: it books on a read-only
+//! [`Tentative`](crate::overlay::Tentative) view instead.  See DESIGN.md §7.1.
 //!
 //! Transactions nest LIFO: an inner [`Txn`] must be committed or rolled back before
 //! the outer one.  Committing the outermost transaction discards the log; committing
@@ -28,8 +28,8 @@
 //! dirty iff the list holds it at that position.  Between re-timings the list only
 //! grows, so a [`Txn`] records just its length and rollback truncates back to it —
 //! no copy, no stamp writes.  A transaction therefore costs its own operations, not
-//! the pending dirty set; that matters to warm re-solves, which speculate thousands
-//! of times between two re-timings.  A re-timing pass
+//! the pending dirty set, however long the list grew since the last re-timing.  A
+//! re-timing pass
 //! inside a transaction empties the list; it logs a `ClearDirty` undo op and moves
 //! the consumed entries to a persistent stack, so rollback can put them back.
 
@@ -147,22 +147,6 @@ impl<'a> ScheduleBuilder<'a> {
         debug_assert!(self.dirty.len() >= txn.dirty_len);
         self.dirty.truncate(txn.dirty_len);
         self.txn_depth -= 1;
-    }
-
-    /// Runs `f` inside a transaction that is always rolled back: the builder is free to
-    /// mutate (book link slots, place the task, …) and every change is undone before
-    /// this returns.  The closure's result — typically a finish-time or a tentative hop
-    /// schedule — is passed through.
-    ///
-    /// This is the "what if" primitive for bookings that must see each other or hide
-    /// an edge's own route: BSA's neighbour evaluation, BSA's cost-aware reroute
-    /// pricing and the warm re-solve's repair pricing.  A single table route needs
-    /// none of that and is priced read-only by [`crate::router`].
-    pub fn speculate<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let txn = self.begin_txn();
-        let result = f(self);
-        self.rollback(txn);
-        result
     }
 
     /// Whether a transaction is currently open.
@@ -423,21 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn speculate_always_rolls_back_and_passes_the_result_through() {
-        let g = chain_graph();
-        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
-        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
-        b.place_task(TaskId(0), ProcId(0), 0.0);
-        let reference = b.clone();
-        let finish = b.speculate(|s| {
-            s.place_task(TaskId(1), ProcId(1), 11.0);
-            s.finish_of(TaskId(1))
-        });
-        assert_eq!(finish, 31.0);
-        assert!(b.same_schedule_state(&reference));
-    }
-
-    #[test]
     fn rollback_restores_the_dirty_list_for_the_next_incremental_pass() {
         let g = chain_graph();
         let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
@@ -445,8 +414,11 @@ mod tests {
         b.place_task(TaskId(0), ProcId(0), 5.0);
         b.place_task(TaskId(1), ProcId(0), 20.0);
         b.place_task(TaskId(2), ProcId(0), 50.0);
-        // Speculation must not lose the pending dirt from the placements above …
-        b.speculate(|s| s.unplace_task(TaskId(2)));
+        // A rolled-back transaction must not lose the pending dirt from the
+        // placements above …
+        let txn = b.begin_txn();
+        b.unplace_task(TaskId(2));
+        b.rollback(txn);
         // … so the incremental pass still compacts everything.
         b.recompute_times_incremental().unwrap();
         assert_eq!(b.start_of(TaskId(0)), 0.0);

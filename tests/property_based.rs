@@ -147,6 +147,9 @@ proptest! {
 // transaction rollback byte-equality.  See docs/DESIGN.md §7.
 // ---------------------------------------------------------------------------------
 
+use bsa::core::bsa::{estimate_finish_on_neighbor, migrate, MigrationScratch};
+use bsa::schedule::overlay::{Booking, Overlay};
+use bsa::schedule::resolve::price_repair;
 use bsa::schedule::router::{book_incoming, data_available_time, route_message};
 use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::{RecomputeError, ScheduleBuilder};
@@ -173,9 +176,10 @@ fn build_routed_schedule<'a>(
     builder
 }
 
-/// The speculative table routing the read-only router replaced: book each hop of the
-/// route with `push_hop` inside a rolled-back transaction, so every hop sees the ones
-/// before it, and copy the route out.
+/// The mutate-and-undo table routing the read-only router replaced: inside a
+/// transaction that is always rolled back, clear the edge's route and book each hop of
+/// the table route with `push_hop`, so every hop sees the ones before it, and copy the
+/// route out.
 fn speculative_route(
     builder: &mut ScheduleBuilder<'_>,
     comm: &CommModel,
@@ -188,29 +192,30 @@ fn speculative_route(
         return (Vec::new(), ready);
     }
     let links = comm.route(src, dst).unwrap();
-    builder.speculate(|b| {
-        b.clear_route(e);
-        let mut cursor = ready;
-        let mut at = src;
-        for &link in links {
-            let next = b.system().topology.link(link).other_end(at).unwrap();
-            let dur = b.transfer_time(link, e);
-            let start = b.earliest_link_slot(link, at, cursor, dur);
-            b.push_hop(
-                e,
-                MessageHop {
-                    link,
-                    from: at,
-                    to: next,
-                    start,
-                    finish: start + dur,
-                },
-            );
-            cursor = start + dur;
-            at = next;
-        }
-        (b.route(e).to_vec(), cursor)
-    })
+    let txn = builder.begin_txn();
+    builder.clear_route(e);
+    let mut cursor = ready;
+    let mut at = src;
+    for &link in links {
+        let next = builder.system().topology.link(link).other_end(at).unwrap();
+        let dur = builder.transfer_time(link, e);
+        let start = builder.earliest_link_slot(link, at, cursor, dur);
+        builder.push_hop(
+            e,
+            MessageHop {
+                link,
+                from: at,
+                to: next,
+                start,
+                finish: start + dur,
+            },
+        );
+        cursor = start + dur;
+        at = next;
+    }
+    let route = builder.route(e).to_vec();
+    builder.rollback(txn);
+    (route, cursor)
 }
 
 /// Books every incoming message of `t` toward `p` with [`speculative_route`] and
@@ -292,6 +297,106 @@ proptest! {
             prop_assert_eq!(book_incoming(&mut booked, &comm, t, p), da);
             prop_assert!(booked.same_schedule_state(&reference));
             prop_assert!(data_available_time(&builder, &comm, t, p) <= da);
+        }
+    }
+}
+
+/// Evicts `t` and every task downstream of it, the way a warm re-solve's successor
+/// closure does, so `t` can be priced as a repair.
+fn evict_with_descendants(builder: &mut ScheduleBuilder<'_>, t: TaskId) {
+    let graph = builder.graph();
+    let mut stack = vec![t];
+    while let Some(x) = stack.pop() {
+        if builder.is_placed(x) {
+            builder.evict_task(x);
+            stack.extend(graph.successors(x));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// BSA's neighbour pricing and the warm re-solve's repair pricing, both read-only on
+    /// a tentative view, equal the finish the same candidate gets when it is committed
+    /// inside a transaction that is then rolled back: on random schedules whose routes
+    /// grew through committed migrations, under every route policy (with and without
+    /// cost-aware reroutes) and both link modes.
+    #[test]
+    fn tentative_pricing_matches_the_rolled_back_commit(
+        (n, gran, seed) in dag_params(),
+        policy in prop_oneof![
+            Just(RoutePolicy::ShortestHop),
+            Just(RoutePolicy::MinTransferTime),
+            Just(RoutePolicy::ECube),
+        ],
+        full_duplex in any::<bool>(),
+        cost_aware in any::<bool>(),
+    ) {
+        let graph = build_graph(n, gran, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7E7A_71A7);
+        let kind = TopologyKind::ALL[(seed % 4) as usize];
+        let mode = if full_duplex { LinkMode::FullDuplex } else { LinkMode::HalfDuplex };
+        let topology = kind.build(8, &mut rng).unwrap().with_link_mode(mode);
+        let system = HeterogeneousSystem::generate(
+            &graph,
+            topology,
+            HeterogeneityRange::DEFAULT,
+            HeterogeneityRange::new(1.0, 50.0),
+            &mut rng,
+        );
+        let comm = system.comm_model(policy);
+        let reroutes = cost_aware.then_some(&comm);
+        let cfg = BsaConfig::default();
+        let mut builder = build_routed_schedule(&graph, &system, &comm, seed);
+        let mut scratch = MigrationScratch::default();
+
+        for _ in 0..n {
+            let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+            let pivot = builder.proc_of(t).unwrap();
+            let neighbors = system.topology.neighbors(pivot);
+            let py = neighbors[rng.gen_range(0..neighbors.len())].0;
+            let priced =
+                estimate_finish_on_neighbor(&builder, t, pivot, py, &cfg, reroutes, &mut scratch);
+            let before = builder.clone();
+            let txn = builder.begin_txn();
+            migrate(&mut builder, t, pivot, py, &cfg, reroutes, &mut scratch);
+            prop_assert_eq!(priced.to_bits(), builder.finish_of(t).to_bits(), "{} -> {}", pivot, py);
+            // Keep about half the migrations, so later candidates meet routes that grew
+            // hop by hop and were re-timed.
+            if rng.gen_bool(0.5) && builder.recompute_times_incremental().is_ok() {
+                builder.commit(txn);
+            } else {
+                builder.rollback(txn);
+                prop_assert!(builder.same_schedule_state(&before));
+            }
+        }
+
+        // A full reroute of a routed edge, priced with its own hops masked, equals
+        // clearing and re-routing it inside a rolled-back transaction.
+        let mut overlay = Overlay::default();
+        let routed: Vec<EdgeId> =
+            graph.edge_ids().filter(|&e| !builder.route(e).is_empty()).take(8).collect();
+        for e in routed {
+            let edge = graph.edge(e);
+            let src = builder.proc_of(edge.src).unwrap();
+            let dst = system.topology.proc_ids().nth(rng.gen_range(0..8)).unwrap();
+            let ready = builder.finish_of(edge.src);
+            let priced = overlay.over(&builder).price_route(&comm, e, src, dst, ready);
+            let (_, arrival) = speculative_route(&mut builder, &comm, e, src, dst, ready);
+            prop_assert_eq!(priced.to_bits(), arrival.to_bits(), "reroute of {}", e);
+        }
+
+        let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+        evict_with_descendants(&mut builder, t);
+        for p in system.topology.proc_ids() {
+            let priced = price_repair(&builder, &mut overlay, &comm, t, p);
+            let txn = builder.begin_txn();
+            let ready = speculative_book_incoming(&mut builder, &comm, t, p);
+            let start = builder.earliest_proc_slot(p, ready, builder.exec_cost(t, p));
+            builder.place_task(t, p, start);
+            prop_assert_eq!(priced.to_bits(), builder.finish_of(t).to_bits(), "repair on {}", p);
+            builder.rollback(txn);
         }
     }
 }
@@ -556,8 +661,12 @@ proptest! {
     /// The flat sweep's committed timings are byte-identical to the full-relaxation
     /// oracle's, and so are its errors.  `n` reaches below the 64-node floor that once
     /// routed small graphs to a separate kernel, and `frac` sweeps the dirty-task count
-    /// from a few tasks to the whole schedule.  About one draw in four then unplaces a
-    /// task, which both paths must reject alike without touching the builder.
+    /// from a few tasks to the whole schedule.  Bounced tasks go back to the earliest
+    /// slot at or after their data-ready time, which cannot close a cycle, so both
+    /// passes must succeed; about one draw in four bounces them to the front instead,
+    /// which may order a task before its own producers and exercises the error path.
+    /// About one draw in four then unplaces a task, which both paths must reject alike
+    /// without touching the builder.
     #[test]
     fn every_retime_kernel_is_byte_identical_to_the_oracle(
         n in 24usize..110,
@@ -565,6 +674,7 @@ proptest! {
         seed in any::<u64>(),
         frac in 0.02f64..1.0,
         unplace in 0u8..4,
+        front in 0u8..4,
     ) {
         let graph = build_graph(n, gran, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
@@ -580,20 +690,23 @@ proptest! {
         let mut builder = build_routed_schedule(&graph, &system, &table, seed);
         builder.recompute_times().unwrap();
 
-        // Dirty ~frac·n tasks by re-placing each at the front-most free slot of its
-        // own processor — real time changes, not no-op bounces.
+        // Dirty ~frac·n tasks by re-placing each on its own processor — real time
+        // changes, not no-op bounces.
+        let front = front == 0;
         let bounces = ((n as f64 * frac).ceil() as usize).max(1);
         for _ in 0..bounces {
             let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
             let p = builder.proc_of(t).unwrap();
+            let ready = if front { 0.0 } else { builder.current_drt(t).0 };
             builder.unplace_task(t);
             let exec = builder.exec_cost(t, p);
-            let start = builder.earliest_proc_slot(p, 0.0, exec);
+            let start = builder.earliest_proc_slot(p, ready, exec);
             builder.place_task(t, p, start);
         }
         let mut oracle = builder.clone();
         let inc = builder.recompute_times_incremental();
         let orc = oracle.recompute_times();
+        prop_assert!(front || inc.is_ok(), "a data-ready bounce failed to re-time: {:?}", inc);
         match (&inc, &orc) {
             (Ok(stats), Ok(())) => prop_assert!(
                 builder.same_schedule_state(&oracle),
@@ -763,6 +876,117 @@ proptest! {
                 got,
                 want
             );
+        }
+    }
+
+    /// `Timeline::earliest_gap_masked` answers bit-identically to removing the masked
+    /// intervals, inserting the windows and calling `earliest_gap`, on the scalar and
+    /// the chunked path.  The draws include holes within `TIME_EPS` of the query
+    /// duration, windows booked into a masked slot with their start within `TIME_EPS`
+    /// of the masked start, and zero-length windows within `TIME_EPS` of a base start.
+    #[test]
+    fn masked_gap_query_matches_removing_inserting_then_querying(
+        len in prop_oneof![1usize..64, 64usize..1500],
+        d in 0.5f64..8.0,
+        seed in any::<u64>(),
+    ) {
+        use bsa::schedule::timeline::TIME_EPS;
+        const WINDOW: u32 = 1 << 30;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let near = [-2.0 * TIME_EPS, -0.5 * TIME_EPS, 0.0, 0.5 * TIME_EPS, 2.0 * TIME_EPS];
+        // Offsets of zero-length windows from a base start, and the query durations
+        // probed right at each window: where `insert` puts a window and the next base
+        // interval in the order that decides the answer.
+        let offsets = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0].map(|x| x * TIME_EPS);
+        let tiny = [0.0, 0.25, 0.5, 1.0, 1.5].map(|x| x * TIME_EPS);
+        let mut base: bsa::schedule::Timeline<u32> = bsa::schedule::Timeline::new();
+        let mut cursor = 0.0f64;
+        for i in 0..len {
+            cursor += match rng.gen_range(0..16) {
+                0 => d + near[rng.gen_range(0..near.len())],
+                1 => rng.gen_range(d..3.0 * d),
+                _ => rng.gen_range(0.0..0.9 * d),
+            };
+            let l = rng.gen_range(0.25..4.0);
+            base.insert(cursor, l, i as u32);
+            cursor += l;
+        }
+        let span = base.last_finish();
+        for round in 0..40 {
+            let mut masked: Vec<usize> =
+                (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..len)).collect();
+            masked.sort_unstable();
+            masked.dedup();
+            let mut reference = base.clone();
+            for &pos in masked.iter().rev() {
+                reference.remove_index(pos);
+            }
+            // Windows where a scheduler would book them, then into masked slots, then
+            // zero-length ones at base starts; each is kept only if the reference
+            // timeline can take it.
+            let mut tag = WINDOW;
+            for kind in 0..3 {
+                for _ in 0..rng.gen_range(0..3) {
+                    let (start, l) = match kind {
+                        0 => {
+                            let l = rng.gen_range(0.1..2.0 * d);
+                            (reference.earliest_gap(rng.gen_range(0.0..span), l), l)
+                        }
+                        1 if !masked.is_empty() => {
+                            let iv = base.intervals()[masked[rng.gen_range(0..masked.len())]];
+                            let start = iv.start + near[rng.gen_range(0..near.len())];
+                            (start, (iv.finish - iv.start) * rng.gen_range(0.1..1.0))
+                        }
+                        1 => continue,
+                        _ => {
+                            let iv = base.intervals()[rng.gen_range(0..len)];
+                            (iv.start + offsets[rng.gen_range(0..offsets.len())], 0.0)
+                        }
+                    };
+                    if reference.earliest_gap(start, l).to_bits() == start.to_bits() {
+                        reference.insert(start, l, tag);
+                        tag += 1;
+                    }
+                }
+            }
+            let extra: Vec<(f64, f64)> = reference
+                .intervals()
+                .iter()
+                .filter(|iv| iv.payload >= WINDOW)
+                .map(|iv| (iv.start, iv.finish))
+                .collect();
+            let probes = extra.iter().flat_map(|&(start, _)| {
+                tiny.iter().flat_map(move |&dur| (0..4).map(move |k| {
+                    (start - k as f64 * 0.25 * TIME_EPS, dur)
+                }))
+            });
+            let draws: Vec<(f64, f64)> = (0..12)
+                .map(|_| {
+                    let duration = match rng.gen_range(0..3) {
+                        0 => d,
+                        1 => d + near[rng.gen_range(0..near.len())],
+                        _ => rng.gen_range(0.0..3.0 * d),
+                    };
+                    (rng.gen_range(0.0..span), duration)
+                })
+                .chain(probes)
+                .collect();
+            for (ready, duration) in draws {
+                let got = base.earliest_gap_masked(ready, duration, &extra, &masked);
+                let want = reference.earliest_gap(ready, duration);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "round {}: masked {:?}, windows {:?}: earliest_gap_masked({}, {}) = {} != {}",
+                    round,
+                    &masked,
+                    &extra,
+                    ready,
+                    duration,
+                    got,
+                    want
+                );
+            }
         }
     }
 

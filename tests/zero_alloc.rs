@@ -6,17 +6,23 @@
 //! This test pins that down with a counting global allocator: after a warm-up storm,
 //! every further pass — inside and outside transactions, after task moves, re-routed
 //! messages and bulk dirt — must report **zero** allocations and zero frees.  So must a
-//! speculative transaction opened over a long pending dirty list, and so must pricing a
-//! task's incoming messages on every processor with `router::data_available_time`, the
-//! way DLS and HEFT-CA price candidates.
+//! transaction rolled back over a long pending dirty list, pricing a task's incoming
+//! messages on every processor with `router::data_available_time` (the way DLS and
+//! HEFT-CA price candidates), and the two read-only pricings on a tentative view: BSA's
+//! neighbour pricing (`estimate_finish_on_neighbor`) and the warm re-solve's repair
+//! pricing (`resolve::price_repair`).
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
 //! counting on another thread would pollute the window.
 
+use bsa::core::bsa::{estimate_finish_on_neighbor, MigrationScratch};
+use bsa::core::BsaConfig;
 use bsa::network::builders::ring;
 use bsa::network::{HeterogeneousSystem, LinkId, ProcId, RoutePolicy};
-use bsa::schedule::router::data_available_time;
+use bsa::schedule::overlay::Overlay;
+use bsa::schedule::resolve::price_repair;
+use bsa::schedule::router::{book_incoming, data_available_time};
 use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::ScheduleBuilder;
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
@@ -118,42 +124,42 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         starts[p] = b.finish_of(t);
     }
 
-    // Speculation while the placements above are still waiting for their first
-    // re-timing, the shape of DLS, HEFT-CA and warm re-solves, which price candidates
-    // against a long pending dirty list.  A transaction costs only its own operations:
-    // opening and rolling one back neither copies nor rebuilds that list.
+    // A transaction rolled back while the placements above are still waiting for their
+    // first re-timing: warm re-solves commit repairs against a long pending dirty list.
+    // A transaction costs only its own operations: opening and rolling one back
+    // neither copies nor rebuilds that list.
     let probe = TaskId(30);
-    let speculate = |b: &mut ScheduleBuilder<'_>| {
-        b.speculate(|s| {
-            let p = s.proc_of(probe).unwrap();
-            let start = s.start_of(probe);
-            s.unplace_task(probe);
-            s.place_task(probe, p, start);
-            let ready = s.link_timeline(LinkId(0)).last_finish();
-            s.push_hop(
-                EdgeId(0),
-                MessageHop {
-                    link: LinkId(0),
-                    from: ProcId(0),
-                    to: ProcId(1),
-                    start: ready,
-                    finish: ready + 4.0,
-                },
-            );
-        })
+    let undone_txn = |b: &mut ScheduleBuilder<'_>| {
+        let txn = b.begin_txn();
+        let p = b.proc_of(probe).unwrap();
+        let start = b.start_of(probe);
+        b.unplace_task(probe);
+        b.place_task(probe, p, start);
+        let ready = b.link_timeline(LinkId(0)).last_finish();
+        b.push_hop(
+            EdgeId(0),
+            MessageHop {
+                link: LinkId(0),
+                from: ProcId(0),
+                to: ProcId(1),
+                start: ready,
+                finish: ready + 4.0,
+            },
+        );
+        b.rollback(txn);
     };
     for _ in 0..5 {
-        speculate(&mut b);
+        undone_txn(&mut b);
     }
     let before = heap_events();
     for _ in 0..10 {
-        speculate(&mut b);
+        undone_txn(&mut b);
     }
     let after = heap_events();
     assert_eq!(
         (after.0 - before.0, after.1 - before.1),
         (0, 0),
-        "speculation over a pending dirty list allocated in steady state"
+        "a rolled-back transaction over a pending dirty list allocated in steady state"
     );
 
     // Table-route pricing over every processor, DLS and HEFT-CA's candidate loop: the
@@ -180,6 +186,68 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     );
 
     b.recompute_times_incremental().unwrap();
+
+    // BSA's neighbour pricing and the warm re-solve's repair pricing, read-only on a
+    // reused tentative view.  A fan-in on a 4-ring: the sink sits on P0 with producers
+    // on P0, P1 and P3, so pricing its migration to P1 or P3 masks the routes that turn
+    // local, queues tentative hops on the joining link and, with cost-aware reroutes,
+    // prices a two-hop table route with the message's own hop hidden.  The unplaced
+    // tail is priced as a repair on every processor.
+    let mut fan = TaskGraphBuilder::new();
+    let sources: Vec<TaskId> = (0..6)
+        .map(|i| fan.add_task(format!("s{i}"), 5.0 + i as f64))
+        .collect();
+    let sink = fan.add_task("sink", 10.0);
+    let tail = fan.add_task("tail", 3.0);
+    for &src in &sources {
+        fan.add_edge(src, sink, 4.0).unwrap();
+    }
+    fan.add_edge(sink, tail, 2.0).unwrap();
+    let fan = fan.build().unwrap();
+    let ring4 = HeterogeneousSystem::homogeneous(&fan, ring(4).unwrap());
+    let table = ring4.comm_model(RoutePolicy::ShortestHop);
+    let mut fb = ScheduleBuilder::new(&fan, &ring4).unwrap();
+    for (i, &src) in sources.iter().enumerate() {
+        let p = ProcId([0, 1, 3][i % 3]);
+        let start = fb.earliest_proc_slot(p, 0.0, fb.exec_cost(src, p));
+        fb.place_task(src, p, start);
+    }
+    let ready = book_incoming(&mut fb, &table, sink, ProcId(0));
+    let start = fb.earliest_proc_slot(ProcId(0), ready, fb.exec_cost(sink, ProcId(0)));
+    fb.place_task(sink, ProcId(0), start);
+    let cfg = BsaConfig::default();
+    let mut scratch = MigrationScratch::default();
+    let mut overlay = Overlay::default();
+    let mut price_candidates = || {
+        let mut acc = 0.0;
+        for &(py, _) in ring4.topology.neighbors(ProcId(0)) {
+            for reroutes in [None, Some(&table)] {
+                acc += estimate_finish_on_neighbor(
+                    &fb,
+                    sink,
+                    ProcId(0),
+                    py,
+                    &cfg,
+                    reroutes,
+                    &mut scratch,
+                );
+            }
+        }
+        for p in ring4.topology.proc_ids() {
+            acc += price_repair(&fb, &mut overlay, &table, tail, p);
+        }
+        acc
+    };
+    let warm = price_candidates();
+    let before = heap_events();
+    let priced = price_candidates();
+    let after = heap_events();
+    assert_eq!(priced, warm);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "neighbour or repair pricing allocated in steady state"
+    );
 
     // One "migration-shaped" iteration: bounce the *last* task of chain 0 (no
     // successors, so the reorder stays acyclic) to a far-future slot inside a
