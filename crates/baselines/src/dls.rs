@@ -24,10 +24,13 @@
 //! default, the classical behaviour), by actual transfer time, or, on hypercubes, by
 //! E-cube ([`bsa_network::RoutePolicy::ECube`]).  Candidates are priced read-only with
 //! [`data_available_time`] and the winner's messages booked with [`book_incoming`].
+//! Once a best pair exists, a pair is priced only if its level with every message on
+//! free links ([`data_available_bound`], an upper bound on the level) can still reach
+//! the best one's tie band; the pick is the same.
 
 use crate::session::{assemble, check_budget, emit, observer_outcome};
 use bsa_network::ProcId;
-use bsa_schedule::router::{book_incoming, data_available_time};
+use bsa_schedule::router::{book_incoming, data_available_bound, data_available_time};
 use bsa_schedule::solver::{
     BudgetMeter, Problem, Progress, Solution, SolveError, SolveEvent, SolveOptions, Solver,
 };
@@ -86,11 +89,18 @@ impl Solver for Dls {
             let mut best: Option<(TaskId, ProcId, f64)> = None;
             for &t in &ready {
                 let median = system.exec_costs.median_cost(t);
+                let sl = static_level[t.index()];
                 for p in system.topology.proc_ids() {
-                    let da = data_available_time(&builder, &table, t, p);
                     let tf = builder.proc_timeline(p).last_finish();
                     let delta = median - system.exec_cost(t, p);
-                    let dl = static_level[t.index()] - da.max(tf) + delta;
+                    if let Some((_, _, bdl)) = best {
+                        let da = data_available_bound(&builder, &table, t, p);
+                        if bdl - dynamic_level(sl, da, tf, delta) > 1e-12 {
+                            continue;
+                        }
+                    }
+                    let da = data_available_time(&builder, &table, t, p);
+                    let dl = dynamic_level(sl, da, tf, delta);
                     let better = match best {
                         None => true,
                         Some((bt, bp, bdl)) => {
@@ -149,6 +159,14 @@ impl Solver for Dls {
             stop,
         ))
     }
+}
+
+/// The dynamic level `SL(t) − max(DA(t, p), TF(p)) + Δ(t, p)` of a task with static
+/// level `sl` whose data is available at `da` on a processor free from `tf`, with
+/// heterogeneity adjustment `delta`.  It never rises as `da` grows, so a lower bound on
+/// `da` gives an upper bound on the level.
+pub fn dynamic_level(sl: f64, da: f64, tf: f64, delta: f64) -> f64 {
+    sl - da.max(tf) + delta
 }
 
 #[cfg(test)]

@@ -254,10 +254,24 @@ impl Bsa {
                         continue;
                     }
 
-                    // Price every neighbour of the pivot, in neighbour order.
+                    // Price every neighbour of the pivot, in neighbour order, except
+                    // those whose finish bound already rules out both rules below.
                     let mut best: Option<(ProcId, f64)> = None;
                     let mut vip_equal: Option<(ProcId, f64)> = None;
                     for &(py, _link) in system.topology.neighbors(pivot) {
+                        pricing.evals += 1;
+                        let bound = finish_bound_on_neighbor(builder, t, pivot, py, comm);
+                        let may_be_better = bound < ft_pivot - EPS
+                            && best.map_or(true, |(bp, bf)| {
+                                bound < bf - EPS || (bound - bf <= EPS && py < bp)
+                            });
+                        let may_tie_at_vip = cfg.use_vip_rule
+                            && bound - ft_pivot <= EPS
+                            && vip_equal.is_none()
+                            && vip.is_some_and(|v| builder.proc_of(v) == Some(py));
+                        if !may_be_better && !may_tie_at_vip {
+                            continue;
+                        }
                         let ft_y = estimate_finish_on_neighbor(
                             builder,
                             t,
@@ -267,7 +281,6 @@ impl Bsa {
                             comm,
                             &mut scratch.migration,
                         );
-                        pricing.evals += 1;
                         if ft_y < ft_pivot - EPS {
                             let better = best.map_or(true, |(bp, bf)| {
                                 ft_y < bf - EPS || ((ft_y - bf).abs() <= EPS && py < bp)
@@ -423,6 +436,48 @@ pub fn estimate_finish_on_neighbor(
 ) -> f64 {
     let mut view = scratch.overlay.over(builder);
     route_incoming_and_place(&mut view, t, pivot, py, cfg, comm, &mut scratch.remote)
+}
+
+/// A lower bound on [`estimate_finish_on_neighbor`]'s finish for `t` moving from
+/// `pivot` to `py`: each remote incoming message arrives no earlier than the least of
+/// its booking options on free links — via the pivot (`ready at the pivot + hop`), the
+/// direct link from its producer, or, where a cost-aware reroute may apply, its
+/// producer's finish — and `t` starts no earlier than the latest arrival.  Prices and
+/// books nothing.
+pub fn finish_bound_on_neighbor(
+    builder: &ScheduleBuilder<'_>,
+    t: TaskId,
+    pivot: ProcId,
+    py: ProcId,
+    comm: Option<&CommModel>,
+) -> f64 {
+    let graph = builder.graph();
+    let link = joining_link(builder, pivot, py);
+    let mut drt = 0.0f64;
+    for &eid in graph.in_edges(t) {
+        let src = graph.edge(eid).src;
+        let src_proc = builder.proc_of(src).expect("all tasks are placed");
+        let src_finish = builder.finish_of(src);
+        if src_proc == py {
+            drt = drt.max(src_finish);
+            continue;
+        }
+        let mut arrival = if src_proc == pivot {
+            src_finish + builder.transfer_time(link, eid)
+        } else {
+            let ready_at_pivot = builder.route(eid).last().map_or(src_finish, |h| h.finish);
+            let via_pivot = ready_at_pivot + builder.transfer_time(link, eid);
+            match builder.system().topology.link_between(src_proc, py) {
+                Some(dl) => via_pivot.min(src_finish + builder.transfer_time(dl, eid)),
+                None => via_pivot,
+            }
+        };
+        if comm.is_some_and(|cm| cm.hops(src_proc, py) > 1) {
+            arrival = arrival.min(src_finish);
+        }
+        drt = drt.max(arrival);
+    }
+    drt + builder.exec_cost(t, py)
 }
 
 /// Moves `t` from `pivot` to the neighbouring processor `py`, re-routing its incoming

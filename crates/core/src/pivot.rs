@@ -2,28 +2,44 @@
 
 use crate::config::PivotStrategy;
 use bsa_network::{HeterogeneousSystem, ProcId};
-use bsa_taskgraph::{GraphLevels, TaskGraph};
+use bsa_taskgraph::{b_levels_into, TaskGraph, TopologicalOrder};
 
 /// Critical-path length of `graph` when every task uses its actual execution cost on
 /// processor `p` (communication costs stay nominal).
 pub fn cp_length_on(graph: &TaskGraph, system: &HeterogeneousSystem, p: ProcId) -> f64 {
-    let costs = system.exec_costs.column(p);
-    GraphLevels::with_costs(graph, &costs, 1.0).critical_path_length()
+    let topo = TopologicalOrder::compute(graph);
+    cp_length_with(graph, &topo, system, p, &mut vec![0.0; graph.num_tasks()])
+}
+
+/// [`cp_length_on`] over a precomputed topological order, with `b_level` as scratch:
+/// one b-level pass (the float operations of `GraphLevels::with_costs`).
+fn cp_length_with(
+    graph: &TaskGraph,
+    topo: &TopologicalOrder,
+    system: &HeterogeneousSystem,
+    p: ProcId,
+    b_level: &mut [f64],
+) -> f64 {
+    b_levels_into(graph, topo, &system.exec_costs.column(p), 1.0, b_level)
 }
 
 /// Selects the first pivot processor according to `strategy`.
 ///
 /// With [`PivotStrategy::ShortestCriticalPath`] (the paper's rule) the processor yielding
-/// the smallest CP length wins; ties are broken by the smaller processor id.
+/// the smallest CP length wins; ties are broken by the smaller processor id.  The CP
+/// length on every processor is returned too; they share one topological order and one
+/// b-level buffer.
 pub fn select_pivot(
     graph: &TaskGraph,
     system: &HeterogeneousSystem,
     strategy: PivotStrategy,
 ) -> (ProcId, Vec<f64>) {
+    let topo = TopologicalOrder::compute(graph);
+    let mut b_level = vec![0.0; graph.num_tasks()];
     let lengths: Vec<f64> = system
         .topology
         .proc_ids()
-        .map(|p| cp_length_on(graph, system, p))
+        .map(|p| cp_length_with(graph, &topo, system, p, &mut b_level))
         .collect();
     let pivot = match strategy {
         PivotStrategy::Fixed(p) => {

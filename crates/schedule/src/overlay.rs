@@ -28,7 +28,7 @@
 use crate::builder::ScheduleBuilder;
 use crate::router::{route_message, walk_route};
 use crate::schedule::MessageHop;
-use crate::timeline::TIME_EPS;
+use crate::timeline::fits_before;
 use bsa_network::{CommModel, LinkId, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
 
@@ -264,8 +264,9 @@ impl<'a> Booking<'a> for Tentative<'_, 'a> {
         let slot = self.base.link_slot(hop.link, hop.from);
         let windows = &mut self.slot_mut(slot).windows;
         // Where `Timeline::insert` would put it, with the finish it would store.
-        let at = windows.partition_point(|w| w.0 < hop.start - TIME_EPS);
-        windows.insert(at, (hop.start, hop.start + (hop.finish - hop.start)));
+        let finish = hop.start + (hop.finish - hop.start);
+        let at = windows.partition_point(|w| !fits_before(finish, w.0));
+        windows.insert(at, (hop.start, finish));
     }
 
     fn place(&mut self, t: TaskId, p: ProcId, start: f64) -> f64 {

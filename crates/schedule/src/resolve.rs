@@ -24,6 +24,9 @@
 //!    it; routes over downed links are recomputed only for the affected pairs) and
 //!    places the task in the earliest gap; the best finish wins, ties to the lower
 //!    processor id, and the winner is committed through the same code on the builder.
+//!    Processors are priced in increasing order of a lower bound on their finish (every
+//!    message on free links, [`repair_bound`]), and the scan stops at the first whose
+//!    bound cannot beat the best so far, which picks the same winner.
 //! 4. **Re-time** once with `recompute_times_incremental`.  Every task is placed by
 //!    then, so this is one flat sweep that checks the messages of the tasks steps 2–3
 //!    placed or re-routed; it compacts the schedule exactly like a cold solver's final
@@ -43,7 +46,7 @@ use crate::builder::ScheduleBuilder;
 use crate::delta::{DeltaError, ProblemDelta, ProblemUpdate};
 use crate::metrics::ScheduleMetrics;
 use crate::overlay::{Booking, Overlay};
-use crate::router::book_incoming;
+use crate::router::{book_incoming, data_available_bound};
 use crate::schedule::MessageHop;
 use crate::solver::{
     BudgetMeter, MigrationRecord, Problem, Provenance, RetimeTotals, Solution, SolveError,
@@ -218,6 +221,7 @@ impl Solution {
         let mut budget_hit = false;
         let mut migrations = Vec::with_capacity(repair_order.len());
         let mut overlay = Overlay::default();
+        let mut by_bound: Vec<(f64, ProcId)> = Vec::with_capacity(system.num_processors());
         for &t in &repair_order {
             // Budgets never abort a repair (a partial repair is not a feasible
             // answer); the first exhaustion is recorded as the stop reason.
@@ -227,16 +231,28 @@ impl Solution {
                     budget_hit = true;
                 }
             }
-            let mut best_finish = f64::INFINITY;
-            let mut best_proc = None;
-            for p in system.topology.proc_ids() {
+            // The best finish, ties to the lower processor id: the minimum of
+            // (finish, id).  Processors are priced in increasing (bound, id) order, so
+            // the first one whose bound cannot beat the best ends the scan.
+            by_bound.clear();
+            by_bound.extend(
+                system
+                    .topology
+                    .proc_ids()
+                    .map(|p| (repair_bound(&b, &comm, t, p), p)),
+            );
+            by_bound.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            let mut best: Option<(f64, ProcId)> = None;
+            for &(bound, p) in &by_bound {
+                if best.is_some_and(|w| w < (bound, p)) {
+                    break;
+                }
                 let finish = price_repair(&b, &mut overlay, &comm, t, p);
-                if finish < best_finish {
-                    best_finish = finish;
-                    best_proc = Some(p);
+                if best.map_or(finish < f64::INFINITY, |w| (finish, p) < w) {
+                    best = Some((finish, p));
                 }
             }
-            let p = best_proc.expect("systems have at least one processor");
+            let (_, p) = best.expect("systems have at least one processor");
             let finish = book_and_place(&mut b, &comm, t, p);
             meter.record_migration();
             let (from, old_finish) = match update.old_task_of(t) {
@@ -324,6 +340,13 @@ pub fn price_repair(
     p: ProcId,
 ) -> f64 {
     book_and_place(&mut overlay.over(builder), comm, t, p)
+}
+
+/// A lower bound on [`price_repair`]'s finish for `t` on `p`: `t` started at the
+/// data-ready time its incoming messages would give it on free links
+/// ([`data_available_bound`]).  Prices and books nothing.
+pub fn repair_bound(builder: &ScheduleBuilder<'_>, comm: &CommModel, t: TaskId, p: ProcId) -> f64 {
+    data_available_bound(builder, comm, t, p) + builder.exec_cost(t, p)
 }
 
 /// Books every incoming message of `t`, places `t` in the earliest gap on `p`, and

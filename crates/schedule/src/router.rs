@@ -125,6 +125,34 @@ pub fn data_available_time(
         .fold(0.0, f64::max)
 }
 
+/// A lower bound on the data-ready time of `t` on `p` that [`data_available_time`] and
+/// [`book_incoming`] return: each incoming message's ready time plus the transfer time
+/// of each hop of its route, added in the walk's order, as if every link were free.
+/// Each hop of the walk starts no earlier than this running sum and float addition is
+/// monotone, so the bound never exceeds the priced arrival.  What pruned candidate
+/// scans compare before they price; books and queries nothing.
+pub fn data_available_bound(
+    builder: &ScheduleBuilder<'_>,
+    comm: &CommModel,
+    t: TaskId,
+    p: ProcId,
+) -> f64 {
+    builder
+        .graph()
+        .in_edges(t)
+        .iter()
+        .map(|&e| {
+            let (sp, ready) = producer(builder, e);
+            comm.route(sp, p)
+                .expect("communication model covers connected topologies")
+                .iter()
+                .fold(ready, |cursor, &link| {
+                    cursor + builder.transfer_time(link, e)
+                })
+        })
+        .fold(0.0, f64::max)
+}
+
 /// Routes every incoming message of task `t` toward processor `p` and books it with
 /// [`Booking::book_route`], in in-edge order, so each message sees the ones booked
 /// before it.  Returns the data-ready time of `t` on `p`.  On the builder this

@@ -714,8 +714,10 @@ impl RetimeTotals {
 /// BSA's candidate-pricing work, the one entry of [`SolveTrace::thread_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ThreadStats {
-    /// Candidate evaluations performed: one per neighbour priced on a read-only
-    /// tentative view (see [`crate::overlay`]).
+    /// Candidate evaluations: one per neighbour considered for a migration.  A
+    /// neighbour is priced on a read-only tentative view (see [`crate::overlay`])
+    /// unless a lower bound on its finish already rules it out; skipped neighbours
+    /// count too, so the count does not depend on the pruning.
     pub evals: u64,
 }
 

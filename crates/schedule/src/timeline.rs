@@ -144,12 +144,21 @@ impl GapIndex {
     }
 }
 
+/// Whether an item ending at `finish` fits before a busy window starting at `start`:
+/// the test of the scalar gap rule.  [`Timeline::insert`] puts an interval before the
+/// first interval it fits before, which is where a gap search that returned its start
+/// stopped, and tentative windows land by the same test.
+#[inline]
+pub(crate) fn fits_before(finish: f64, start: f64) -> bool {
+    finish <= start + TIME_EPS
+}
+
 /// The scalar gap rule for one busy window `[start, finish)` met by a scan at
 /// `candidate`: `Break` if the item fits entirely before the window, otherwise
 /// `Continue` with the candidate pushed past it.
 #[inline]
 fn step(candidate: f64, duration: f64, start: f64, finish: f64) -> ControlFlow<f64, f64> {
-    if candidate + duration <= start + TIME_EPS {
+    if fits_before(candidate + duration, start) {
         ControlFlow::Break(candidate)
     } else if finish > candidate {
         ControlFlow::Continue(finish)
@@ -167,8 +176,8 @@ struct Overlaid<'q> {
 
 impl Overlaid<'_> {
     /// Merges every window that lands before an interval starting at `start`, with the
-    /// scalar rule.  `Timeline::insert` puts a window before the first interval whose
-    /// start is not below the window's start − `TIME_EPS`.
+    /// scalar rule.  `Timeline::insert` puts a window before the first interval it
+    /// [`fits_before`].
     #[inline]
     fn merge_before(
         &mut self,
@@ -177,7 +186,7 @@ impl Overlaid<'_> {
         duration: f64,
     ) -> ControlFlow<f64, f64> {
         while let Some((&(ws, wf), rest)) = self.extra.split_first() {
-            if start < ws - TIME_EPS {
+            if !fits_before(wf, start) {
                 break;
             }
             candidate = step(candidate, duration, ws, wf)?;
@@ -195,7 +204,7 @@ impl Overlaid<'_> {
             && self
                 .extra
                 .first()
-                .map_or(true, |&(ws, _)| last_start < ws - TIME_EPS)
+                .map_or(true, |&(_, wf)| !fits_before(wf, last_start))
     }
 
     /// The scalar rule over `chunk`, whose first interval sits at position `at`:
@@ -218,7 +227,7 @@ impl Overlaid<'_> {
                 .map_or(chunk.len(), |&m| (m - at).min(chunk.len()));
             let run = &chunk[j..stop];
             let lands = match (self.extra.first(), run.last()) {
-                (Some(&(ws, _)), Some(last)) => last.start >= ws - TIME_EPS,
+                (Some(&(_, wf)), Some(last)) => fits_before(wf, last.start),
                 _ => false,
             };
             if lands {
@@ -246,8 +255,8 @@ impl Overlaid<'_> {
     /// is a binary search.
     #[inline]
     fn next_event<P>(&self, intervals: &[Interval<P>]) -> usize {
-        let window = self.extra.first().map_or(usize::MAX, |&(ws, _)| {
-            intervals.partition_point(|iv| iv.start < ws - TIME_EPS)
+        let window = self.extra.first().map_or(usize::MAX, |&(_, wf)| {
+            intervals.partition_point(|iv| !fits_before(wf, iv.start))
         });
         self.masked.first().map_or(window, |&m| m.min(window))
     }
@@ -423,8 +432,8 @@ impl<P: Copy> Timeline<P> {
     /// `masked` lists interval positions in increasing order.  `extra` lists
     /// `(start, finish)` windows, finish stored as [`Timeline::insert`] would
     /// (`start + duration`), in the order successive inserts would leave them.  Each
-    /// window lands where `insert` would put it: before the first interval whose start
-    /// is at or past the window's start − [`TIME_EPS`].
+    /// window lands where `insert` would put it: before the first interval it fits
+    /// before, `finish ≤ start + TIME_EPS`.
     ///
     /// The walk is `earliest_gap`'s.  A chunk is skipped by its summary only when it
     /// holds no masked position and no window lands inside it; every other chunk is
@@ -512,6 +521,13 @@ impl<P: Copy> Timeline<P> {
     /// Inserts a busy interval `[start, start + duration)`; returns the index at which it
     /// now sits (its predecessor/successor intervals are at `idx - 1` / `idx + 1`).
     ///
+    /// The interval goes before the first interval it fits before under the gap rule
+    /// (`start + duration ≤ that start + TIME_EPS`), after every other.  That is the
+    /// interval where [`Timeline::earliest_gap`]'s scan stopped when it returned
+    /// `start`, so every answer of a gap search is inserted next to the intervals it was
+    /// found between, zero-length ones included.  For intervals longer than
+    /// `2 · TIME_EPS` this is the first interval starting at or after `start − TIME_EPS`.
+    ///
     /// # Panics
     /// Panics (in debug builds) if the new interval overlaps an existing one by more than
     /// [`TIME_EPS`]; callers must have obtained `start` from [`Timeline::earliest_gap`] or
@@ -520,7 +536,7 @@ impl<P: Copy> Timeline<P> {
         let finish = start + duration;
         let pos = self
             .intervals
-            .partition_point(|iv| iv.start < start - TIME_EPS);
+            .partition_point(|iv| !fits_before(finish, iv.start));
         debug_assert!(
             pos == 0 || self.intervals[pos - 1].finish <= start + TIME_EPS,
             "new interval overlaps predecessor"
@@ -829,6 +845,26 @@ mod tests {
         assert_eq!(t.earliest_gap(12.0, 5.0), 12.0);
         // Ready inside 'b': goes after it.
         assert_eq!(t.earliest_gap(25.0, 5.0), 30.0);
+    }
+
+    #[test]
+    fn a_gap_found_after_a_zero_length_interval_is_inserted_after_it() {
+        // A zero-length interval at 10: a gap search at or near it returns a start within
+        // `TIME_EPS` of 10, and the item it found room for must land after it.
+        let mut t = Timeline::new();
+        t.insert(10.0, 0.0, 0u32);
+        for (i, ready) in [10.0 + 0.5e-9, 10.0, 10.0 - 0.5e-9].into_iter().enumerate() {
+            let mut t = t.clone();
+            let start = t.earliest_gap(ready, 2.0);
+            assert_eq!(t.insert(start, 2.0, 1 + i as u32), 1, "ready {ready}");
+            assert!(t.is_consistent(), "ready {ready}: {:?}", t.intervals());
+        }
+        // A zero-length item still lands before a zero-length interval at its start, and
+        // a positive one before an interval it ends at.
+        assert_eq!(t.insert(10.0, 0.0, 7), 0);
+        assert_eq!(t.insert(8.0, 2.0, 8), 0);
+        assert!(t.is_consistent());
+        assert_eq!(t.payloads().collect::<Vec<_>>(), vec![8, 7, 0]);
     }
 
     #[test]

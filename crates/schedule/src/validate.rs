@@ -17,7 +17,15 @@
 //!
 //! Every scheduler in this workspace is tested by running it on randomized inputs and
 //! validating the result with [`validate`], which is the strongest end-to-end correctness
-//! check we have.
+//! check we have.  The daemon and the benchmark validate every result too, so the check
+//! is linear up to its sorts: placements are bucketed by processor and hops by link with
+//! one counting sort each into flat buffers, each bucket is sorted by start exactly as
+//! [`Schedule::tasks_on`] and [`Schedule::hops_on`] order it (input order kept for
+//! ties), (2) compares adjacent placements, and (5) sweeps each link's hops, comparing
+//! a hop only with the later ones that start before it finishes (less [`TIME_EPS`]).
+//! With `N` tasks, `E` edges and `H` hops that is O(E + N log N + H log H) plus one
+//! step per overlapping pair, not a rescan of every route per link and a comparison of
+//! every pair of hops on it.  The error list is the same, entry for entry.
 
 use crate::schedule::Schedule;
 use crate::timeline::TIME_EPS;
@@ -114,12 +122,27 @@ pub fn validate(
         }
     }
 
-    // (2) processor exclusivity.
+    // (2) processor exclusivity, on placements bucketed by processor.
+    let placements = schedule.placements();
+    let mut bounds = Vec::new();
+    let mut on_proc = bucket(
+        placements.iter(),
+        m,
+        |pl| pl.proc.index(),
+        |i, _| i as u32,
+        &mut bounds,
+    );
     for p in system.topology.proc_ids() {
-        let tasks = schedule.tasks_on(p);
+        let tasks = &mut on_proc[bounds[p.index()]..bounds[p.index() + 1]];
+        // `Schedule::tasks_on`'s order: by start, input order kept for ties.
+        tasks.sort_unstable_by(|&a, &b| {
+            let (x, y) = (&placements[a as usize], &placements[b as usize]);
+            x.start.total_cmp(&y.start).then(a.cmp(&b))
+        });
         for w in tasks.windows(2) {
-            if w[1].start < w[0].finish - TIME_EPS {
-                errors.push(ValidationError::ProcessorOverlap(w[0].task, w[1].task, p));
+            let (a, b) = (&placements[w[0] as usize], &placements[w[1] as usize]);
+            if b.start < a.finish - TIME_EPS {
+                errors.push(ValidationError::ProcessorOverlap(a.task, b.task, p));
             }
         }
     }
@@ -185,23 +208,32 @@ pub fn validate(
         }
     }
 
-    // (5) link contention.
+    // (5) link contention, on hops bucketed by link and swept in start order.
+    let mut on_link = bucket(
+        schedule.routes().iter().flat_map(|r| &r.hops),
+        system.topology.num_links(),
+        |h| h.link.index(),
+        |seq, h| SweptHop {
+            start: h.start,
+            finish: h.finish,
+            from: h.from.index() as u32,
+            seq: seq as u32,
+        },
+        &mut bounds,
+    );
+    let half_duplex = system.topology.link_mode() == LinkMode::HalfDuplex;
     for l in system.topology.link_ids() {
-        let hops = schedule.hops_on(l);
-        for i in 0..hops.len() {
-            for j in (i + 1)..hops.len() {
-                let (ea, a) = hops[i];
-                let (eb, b) = hops[j];
-                let overlap = a.start < b.finish - TIME_EPS && b.start < a.finish - TIME_EPS;
-                if !overlap {
-                    continue;
-                }
-                let conflicting = match system.topology.link_mode() {
-                    LinkMode::HalfDuplex => true,
-                    LinkMode::FullDuplex => a.from == b.from,
-                };
-                if conflicting {
-                    let _ = (ea, eb);
+        let hops = &mut on_link[bounds[l.index()]..bounds[l.index() + 1]];
+        // `Schedule::hops_on`'s order: by start, input order kept for ties.
+        hops.sort_unstable_by(|a, b| a.start.total_cmp(&b.start).then(a.seq.cmp(&b.seq)));
+        for (i, a) in hops.iter().enumerate() {
+            // Every later hop starts at or after this one, so the first that starts at
+            // or after `a.finish − TIME_EPS` ends the hops that can overlap it.
+            for b in hops[i + 1..]
+                .iter()
+                .take_while(|b| b.start < a.finish - TIME_EPS)
+            {
+                if a.start < b.finish - TIME_EPS && (half_duplex || a.from == b.from) {
                     errors.push(ValidationError::LinkContention { link: l });
                 }
             }
@@ -209,6 +241,50 @@ pub fn validate(
     }
 
     errors
+}
+
+/// A hop as the link-contention sweep reads it; `seq` is its position among all hops
+/// in route order, which breaks ties between equal starts.
+#[derive(Debug, Clone, Copy, Default)]
+struct SweptHop {
+    start: f64,
+    finish: f64,
+    from: u32,
+    seq: u32,
+}
+
+/// Counting sort of `items` into `buckets` buckets by `key`, in one flat buffer: bucket
+/// `k` is `out[bounds[k]..bounds[k + 1]]` and holds `entry(i, item)` for each `i`-th
+/// item whose key is `k`, in input order.  Items whose key is `buckets` or more (an
+/// unknown processor or link) are left out.
+fn bucket<T: Copy, U: Copy + Default>(
+    items: impl Iterator<Item = T> + Clone,
+    buckets: usize,
+    key: impl Fn(T) -> usize,
+    entry: impl Fn(usize, T) -> U,
+    bounds: &mut Vec<usize>,
+) -> Vec<U> {
+    bounds.clear();
+    bounds.resize(buckets + 1, 0);
+    for item in items.clone() {
+        let k = key(item);
+        if k < buckets {
+            bounds[k + 1] += 1;
+        }
+    }
+    for k in 0..buckets {
+        bounds[k + 1] += bounds[k];
+    }
+    let mut next = bounds[..buckets].to_vec();
+    let mut out = vec![U::default(); bounds[buckets]];
+    for (i, item) in items.enumerate() {
+        let k = key(item);
+        if k < buckets {
+            out[next[k]] = entry(i, item);
+            next[k] += 1;
+        }
+    }
+    out
 }
 
 /// Convenience helper: panics with a readable message if the schedule is invalid.

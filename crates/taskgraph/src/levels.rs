@@ -35,6 +35,41 @@ pub struct GraphLevels {
     cp_length: f64,
 }
 
+/// Writes the b-level of every task under per-task execution costs `exec_costs` and
+/// communication costs scaled by `comm_scale` into `b_level`, in one pass over `topo`
+/// in reverse, and returns the critical-path length.
+///
+/// These are the float operations of [`GraphLevels::with_costs`], which calls it, so a
+/// caller that needs only the critical-path length under many cost assignments (BSA's
+/// pivot selection) can compute the order once and still get bit-identical lengths.
+///
+/// # Panics
+/// Panics if `exec_costs` or `b_level` is shorter than the number of tasks.
+pub fn b_levels_into(
+    graph: &TaskGraph,
+    topo: &TopologicalOrder,
+    exec_costs: &[f64],
+    comm_scale: f64,
+    b_level: &mut [f64],
+) -> f64 {
+    for t in topo.iter_rev() {
+        let mut best: f64 = 0.0;
+        for &eid in graph.out_edges(t) {
+            let e = graph.edge(eid);
+            let via = b_level[e.dst.index()] + comm_scale * e.nominal_cost;
+            if via > best {
+                best = via;
+            }
+        }
+        b_level[t.index()] = exec_costs[t.index()] + best;
+    }
+    b_level[..graph.num_tasks()]
+        .iter()
+        .cloned()
+        .fold(0.0f64, f64::max)
+        .max(0.0)
+}
+
 impl GraphLevels {
     /// Computes levels using the graph's nominal execution and communication costs.
     pub fn nominal(graph: &TaskGraph) -> Self {
@@ -75,26 +110,18 @@ impl GraphLevels {
         }
 
         let mut b_level = vec![0.0f64; n];
+        let cp_length = b_levels_into(graph, &topo, exec_costs, comm_scale, &mut b_level);
         let mut static_level = vec![0.0f64; n];
         for t in topo.iter_rev() {
-            let mut best: f64 = 0.0;
             let mut best_static: f64 = 0.0;
             for &eid in graph.out_edges(t) {
-                let e = graph.edge(eid);
-                let via = b_level[e.dst.index()] + comm_scale * e.nominal_cost;
-                if via > best {
-                    best = via;
-                }
-                let via_static = static_level[e.dst.index()];
+                let via_static = static_level[graph.edge(eid).dst.index()];
                 if via_static > best_static {
                     best_static = via_static;
                 }
             }
-            b_level[t.index()] = exec_costs[t.index()] + best;
             static_level[t.index()] = exec_costs[t.index()] + best_static;
         }
-
-        let cp_length = b_level.iter().cloned().fold(0.0f64, f64::max).max(0.0);
 
         GraphLevels {
             t_level,

@@ -47,7 +47,7 @@ pub use analysis::GraphStats;
 pub use fingerprint::Fnv1a;
 pub use graph::{Edge, GraphError, Task, TaskGraph, TaskGraphBuilder};
 pub use ids::{EdgeId, TaskId};
-pub use levels::{CriticalPath, GraphLevels};
+pub use levels::{b_levels_into, CriticalPath, GraphLevels};
 pub use traversal::TopologicalOrder;
 
 /// Convenient glob-import for downstream crates.

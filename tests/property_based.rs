@@ -147,10 +147,15 @@ proptest! {
 // transaction rollback byte-equality.  See docs/DESIGN.md §7.
 // ---------------------------------------------------------------------------------
 
-use bsa::core::bsa::{estimate_finish_on_neighbor, migrate, MigrationScratch};
+use bsa::baselines::dls::dynamic_level;
+use bsa::core::bsa::{
+    estimate_finish_on_neighbor, finish_bound_on_neighbor, migrate, MigrationScratch,
+};
 use bsa::schedule::overlay::{Booking, Overlay};
-use bsa::schedule::resolve::price_repair;
-use bsa::schedule::router::{book_incoming, data_available_time, route_message};
+use bsa::schedule::resolve::{price_repair, repair_bound};
+use bsa::schedule::router::{
+    book_incoming, data_available_bound, data_available_time, route_message,
+};
 use bsa::schedule::schedule::MessageHop;
 use bsa::schedule::{RecomputeError, ScheduleBuilder};
 use rand::Rng;
@@ -321,7 +326,10 @@ proptest! {
     /// a tentative view, equal the finish the same candidate gets when it is committed
     /// inside a transaction that is then rolled back: on random schedules whose routes
     /// grew through committed migrations, under every route policy (with and without
-    /// cost-aware reroutes) and both link modes.
+    /// cost-aware reroutes) and both link modes.  The bounds the pruned candidate scans
+    /// skip by are admissible there: BSA's neighbour bound and the repair bound never
+    /// exceed the priced finish, and DLS's level with every message on free links is
+    /// never below the exact dynamic level.
     #[test]
     fn tentative_pricing_matches_the_rolled_back_commit(
         (n, gran, seed) in dag_params(),
@@ -355,6 +363,12 @@ proptest! {
             let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
             let pivot = builder.proc_of(t).unwrap();
             let neighbors = system.topology.neighbors(pivot);
+            for &(y, _) in neighbors {
+                let bound = finish_bound_on_neighbor(&builder, t, pivot, y, reroutes);
+                let priced =
+                    estimate_finish_on_neighbor(&builder, t, pivot, y, &cfg, reroutes, &mut scratch);
+                prop_assert!(bound <= priced, "{} -> {}: bound {} > priced {}", pivot, y, bound, priced);
+            }
             let py = neighbors[rng.gen_range(0..neighbors.len())].0;
             let priced =
                 estimate_finish_on_neighbor(&builder, t, pivot, py, &cfg, reroutes, &mut scratch);
@@ -387,10 +401,20 @@ proptest! {
             prop_assert_eq!(priced.to_bits(), arrival.to_bits(), "reroute of {}", e);
         }
 
+        let median: Vec<f64> = graph.task_ids().map(|t| system.exec_costs.median_cost(t)).collect();
+        let levels = GraphLevels::with_costs(&graph, &median, 0.0);
         let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
         evict_with_descendants(&mut builder, t);
         for p in system.topology.proc_ids() {
             let priced = price_repair(&builder, &mut overlay, &comm, t, p);
+            let bound = repair_bound(&builder, &comm, t, p);
+            prop_assert!(bound <= priced, "repair on {}: bound {} > priced {}", p, bound, priced);
+            let sl = levels.b_level(t);
+            let tf = builder.proc_timeline(p).last_finish();
+            let delta = median[t.index()] - system.exec_cost(t, p);
+            let upper = dynamic_level(sl, data_available_bound(&builder, &comm, t, p), tf, delta);
+            let exact = dynamic_level(sl, data_available_time(&builder, &comm, t, p), tf, delta);
+            prop_assert!(upper >= exact, "DLS on {}: bound {} < level {}", p, upper, exact);
             let txn = builder.begin_txn();
             let ready = speculative_book_incoming(&mut builder, &comm, t, p);
             let start = builder.earliest_proc_slot(p, ready, builder.exec_cost(t, p));
@@ -883,7 +907,9 @@ proptest! {
     /// intervals, inserting the windows and calling `earliest_gap`, on the scalar and
     /// the chunked path.  The draws include holes within `TIME_EPS` of the query
     /// duration, windows booked into a masked slot with their start within `TIME_EPS`
-    /// of the masked start, and zero-length windows within `TIME_EPS` of a base start.
+    /// of the masked start, zero-length and longer windows within `TIME_EPS` of a base
+    /// start, and zero-length base intervals, some sharing their instant with the next
+    /// interval.
     #[test]
     fn masked_gap_query_matches_removing_inserting_then_querying(
         len in prop_oneof![1usize..64, 64usize..1500],
@@ -894,23 +920,27 @@ proptest! {
         const WINDOW: u32 = 1 << 30;
         let mut rng = StdRng::seed_from_u64(seed);
         let near = [-2.0 * TIME_EPS, -0.5 * TIME_EPS, 0.0, 0.5 * TIME_EPS, 2.0 * TIME_EPS];
-        // Offsets of zero-length windows from a base start, and the query durations
+        // Offsets of windows from a base start, and the query durations
         // probed right at each window: where `insert` puts a window and the next base
         // interval in the order that decides the answer.
         let offsets = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0].map(|x| x * TIME_EPS);
         let tiny = [0.0, 0.25, 0.5, 1.0, 1.5].map(|x| x * TIME_EPS);
+        // One base interval in eight has zero length, and one hole in sixteen is empty,
+        // so zero-length intervals share their instant with a neighbour.
         let mut base: bsa::schedule::Timeline<u32> = bsa::schedule::Timeline::new();
         let mut cursor = 0.0f64;
         for i in 0..len {
             cursor += match rng.gen_range(0..16) {
                 0 => d + near[rng.gen_range(0..near.len())],
                 1 => rng.gen_range(d..3.0 * d),
+                2 => 0.0,
                 _ => rng.gen_range(0.0..0.9 * d),
             };
-            let l = rng.gen_range(0.25..4.0);
+            let l = if rng.gen_range(0..8) == 0 { 0.0 } else { rng.gen_range(0.25..4.0) };
             base.insert(cursor, l, i as u32);
             cursor += l;
         }
+        prop_assert!(base.is_consistent());
         let span = base.last_finish();
         for round in 0..40 {
             let mut masked: Vec<usize> =
@@ -922,8 +952,9 @@ proptest! {
                 reference.remove_index(pos);
             }
             // Windows where a scheduler would book them, then into masked slots, then
-            // zero-length ones at base starts; each is kept only if the reference
-            // timeline can take it.
+            // ones within `TIME_EPS` of base starts, half of them zero-length (a longer
+            // one fits there only after a zero-length base interval); each is kept only
+            // if the reference timeline can take it.
             let mut tag = WINDOW;
             for kind in 0..3 {
                 for _ in 0..rng.gen_range(0..3) {
@@ -940,7 +971,8 @@ proptest! {
                         1 => continue,
                         _ => {
                             let iv = base.intervals()[rng.gen_range(0..len)];
-                            (iv.start + offsets[rng.gen_range(0..offsets.len())], 0.0)
+                            let l = if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(0.1..d) };
+                            (iv.start + offsets[rng.gen_range(0..offsets.len())], l)
                         }
                     };
                     if reference.earliest_gap(start, l).to_bits() == start.to_bits() {
