@@ -1,7 +1,8 @@
 //! Machine-readable [`SolveTrace`] bundles from the experiments runner.
 //!
 //! A deterministic set of solves (the paper's worked example, budgeted and
-//! unbudgeted, one random DAG, and the standard portfolio racing that DAG) rendered as
+//! unbudgeted, one random DAG, the standard portfolio racing that DAG, and a random
+//! DAG on heterogeneous links whose BSA solve restores a failed migration) rendered as
 //! a JSON bundle via [`SolveTrace::to_json`] and written to `BENCH_traces.json` at the
 //! workspace root, where CI regenerates it and fails on any diff.  `run_all` emits it
 //! as part of the full sweep and the dedicated `solve_traces` binary regenerates it
@@ -29,8 +30,14 @@ pub struct TraceEntry {
 
 /// Runs the deterministic trace suite: the worked example unbudgeted, the worked
 /// example under a 2-migration budget (exercising the anytime stop path), a 60-task
-/// random DAG on an 8-processor hypercube, and the standard portfolio racing the same
-/// DAG (its best-of-all winner is deterministic).
+/// random DAG on an 8-processor hypercube, the standard portfolio racing the same
+/// DAG (its best-of-all winner is deterministic), and a 40-task random DAG on an
+/// 8-processor hypercube with link factors in [1, 10].
+///
+/// The last solve is the suite's only one in which a migration's re-timing fails and
+/// BSA undoes the move (once, among 47 accepted migrations).  Its `retime.seed_nodes`
+/// counts the dirty list that undo leaves behind, so the byte-diff catches an undo
+/// that does not put the dirty list back.
 pub fn trace_suite() -> Vec<TraceEntry> {
     let bsa = Bsa::new(BsaConfig::traced());
 
@@ -70,6 +77,22 @@ pub fn trace_suite() -> Vec<TraceEntry> {
         .solve_unbounded(&random_problem)
         .expect("the portfolio race solves");
 
+    let mut rng = StdRng::seed_from_u64(2);
+    let restore_graph =
+        bsa_workloads::random_dag::paper_random_graph(40, 1.0, &mut rng).expect("generator works");
+    let restore_system = HeterogeneousSystem::generate(
+        &restore_graph,
+        hypercube_for(8).expect("hypercube_for(8) is valid"),
+        HeterogeneityRange::DEFAULT,
+        HeterogeneityRange::new(1.0, 10.0),
+        &mut rng,
+    );
+    let restore_problem =
+        Problem::new(&restore_graph, &restore_system).expect("the restore instance is valid");
+    let restore = bsa
+        .solve_unbounded(&restore_problem)
+        .expect("the restore instance solves");
+
     vec![
         TraceEntry {
             label: "paper_example_unbounded",
@@ -86,6 +109,10 @@ pub fn trace_suite() -> Vec<TraceEntry> {
         TraceEntry {
             label: "portfolio_best_of_all_random_60",
             trace: portfolio.trace,
+        },
+        TraceEntry {
+            label: "random_40_hypercube8_link_het_restores_a_migration",
+            trace: restore.trace,
         },
     ]
 }
@@ -124,7 +151,7 @@ mod tests {
     #[test]
     fn suite_covers_budgeted_and_unbudgeted_solves_and_serializes() {
         let entries = trace_suite();
-        assert_eq!(entries.len(), 4);
+        assert_eq!(entries.len(), 5);
         assert_eq!(entries[0].trace.stop, StopReason::Converged);
         assert_eq!(entries[1].trace.stop, StopReason::MigrationBudgetExhausted);
         assert_eq!(entries[1].trace.num_migrations(), 2);
@@ -132,11 +159,15 @@ mod tests {
         // Every BSA solve records its candidate evaluations in one row.
         assert_eq!(entries[2].trace.thread_stats.len(), 1);
         assert!(entries[2].trace.thread_stats[0].evals > 0);
+        assert_eq!(entries[4].trace.stop, StopReason::Converged);
+        assert_eq!(entries[4].trace.num_migrations(), 47);
+        assert_eq!(entries[4].trace.retime.seed_nodes, 198);
 
         let json = bundle_json(&entries);
         assert!(json.contains("\"bench\": \"solver_traces\""));
         assert!(json.contains("\"paper_example_budget_2_migrations\""));
         assert!(json.contains("\"portfolio_best_of_all_random_60\""));
+        assert!(json.contains("\"random_40_hypercube8_link_het_restores_a_migration\""));
         assert!(json.contains("\"stop\": \"migration_budget_exhausted\""));
         assert!(json.contains("\"solver\": \"BSA\""));
         assert!(json.contains("\"thread_stats\": [{\"evals\": "));
