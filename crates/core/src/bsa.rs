@@ -27,12 +27,13 @@
 //! answers the link gap queries as if they had been made (see
 //! [`bsa_schedule::overlay`]), so the estimate sees real link contention among the
 //! task's own messages and nothing has to be undone.  An accepted migration
-//! ([`migrate`]) runs the same booking steps on the builder itself, inside a
-//! transaction: a migration whose re-routing produces un-timeable (cyclic) ordering
-//! decisions is rolled back through the undo log of the transactional kernel (see
-//! DESIGN.md §5.2 and §7).  No whole-builder snapshot is ever cloned.  After each
-//! accepted migration the schedule is re-timed by one flat sweep over the reduced
-//! decision graph ([`ScheduleBuilder::recompute_times_incremental`]);
+//! ([`migrate`]) runs the same booking steps on the builder itself, after a one-task
+//! checkpoint ([`ScheduleBuilder::checkpoint_task`]): a migration whose re-routing
+//! produces un-timeable (cyclic) ordering decisions is undone by restoring the task and
+//! the routes of its messages ([`ScheduleBuilder::restore_task`]; DESIGN.md §5.2).  No
+//! whole-builder snapshot is ever cloned.  After each accepted migration the schedule
+//! is re-timed by one flat sweep over the reduced decision graph
+//! ([`ScheduleBuilder::recompute_times_incremental`]);
 //! [`crate::config::RetimingMode::Full`] switches back to the full-relaxation oracle,
 //! which produces bit-identical times at a much higher cost per migration.
 
@@ -46,7 +47,7 @@ use bsa_schedule::solver::{
     BudgetMeter, IncumbentRecord, MigrationRecord, Problem, Progress, Provenance, RetimeTotals,
     Solution, SolveError, SolveEvent, SolveOptions, SolveTrace, Solver, StopReason, ThreadStats,
 };
-use bsa_schedule::{Schedule, ScheduleBuilder, ScheduleMetrics};
+use bsa_schedule::{Schedule, ScheduleBuilder, ScheduleMetrics, TaskCheckpoint};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
 const EPS: f64 = 1e-9;
@@ -71,6 +72,8 @@ struct MigrateScratch {
     tasks: Vec<TaskId>,
     /// Finish time of every task at phase start (see `compare_against_phase_start`).
     phase_ft: Vec<f64>,
+    /// The migrating task as it stood before [`migrate`], for undoing a failed move.
+    checkpoint: TaskCheckpoint,
 }
 
 /// The BSA scheduler.  Construct with [`Bsa::new`] or use [`Bsa::default`] for the paper's
@@ -306,10 +309,12 @@ impl Bsa {
                         continue;
                     };
 
-                    // Perform the migration transactionally; if the incremental re-routing
-                    // produces ordering decisions that cannot be timed consistently (rare —
-                    // see DESIGN.md §5.2), roll back and keep the task where it was.
-                    let txn = builder.begin_txn();
+                    // Migrate from a checkpoint; if the re-routing produces ordering
+                    // decisions that cannot be timed consistently (rare — see DESIGN.md
+                    // §5.2), restore the task where it was.  `migrate` changes only `t`
+                    // and the routes of its messages, and a failed pass writes nothing,
+                    // so the restore is exact.
+                    builder.checkpoint_task(t, &mut scratch.checkpoint);
                     migrate(builder, t, pivot, py, cfg, comm, &mut scratch.migration);
                     let retimed = match cfg.retiming {
                         RetimingMode::Incremental => {
@@ -319,12 +324,11 @@ impl Bsa {
                     };
                     let stats = match retimed {
                         Err(_) => {
-                            builder.rollback(txn);
+                            builder.restore_task(&scratch.checkpoint);
                             continue;
                         }
                         Ok(stats) => stats,
                     };
-                    builder.commit(txn);
                     if let Some(stats) = stats {
                         trace.retime.absorb(&stats);
                     }
@@ -376,7 +380,6 @@ impl Bsa {
             if sweep_migrations == 0 {
                 break;
             }
-            let _ = sweep;
         }
         stop
     }
@@ -484,16 +487,15 @@ pub fn finish_bound_on_neighbor(
 /// and outgoing messages across the joining link and booking contention-free slots for
 /// them.
 ///
-/// Runs entirely on the builder's transactional mutation API, so a caller-held [`Txn`]
-/// can undo the whole move.  The incoming half and the placement are the steps
+/// Changes nothing but `t` and the routes of its in- and out-edges, so a
+/// [`ScheduleBuilder::checkpoint_task`] of `t` taken just before can undo the whole
+/// move.  The incoming half and the placement are the steps
 /// [`estimate_finish_on_neighbor`] prices, committed.
 ///
 /// With a cost-aware `comm` model, every re-routed message additionally prices a full
 /// reroute along the model's route ([`Booking::price_route`], the same
 /// [`bsa_schedule::router`] walk the baselines use) and takes it when it arrives
 /// strictly earlier.
-///
-/// [`Txn`]: bsa_schedule::Txn
 pub fn migrate(
     builder: &mut ScheduleBuilder<'_>,
     t: TaskId,

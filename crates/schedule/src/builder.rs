@@ -17,12 +17,13 @@
 //! reuses persistent arenas and checks only the messages of the tasks changed since
 //! the last re-timing.
 //!
-//! Mutations are transactional ([`crate::txn`]): [`ScheduleBuilder::begin_txn`] /
-//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] undo a committed
-//! migration whose re-timing fails.  Evaluating a candidate migration or repair
-//! without committing it mutates nothing: it books on a read-only
-//! [`Tentative`](crate::overlay::Tentative) view over `&ScheduleBuilder`, through the
-//! same [`Booking`](crate::overlay::Booking) steps the builder commits with.
+//! A migration whose re-timing fails is undone from a one-task checkpoint:
+//! [`ScheduleBuilder::checkpoint_task`] saves a task's placement, the routes of its
+//! messages and the dirty-list length, and [`ScheduleBuilder::restore_task`] puts them
+//! back.  Evaluating a candidate migration or repair without committing it mutates
+//! nothing: it books on a read-only [`Tentative`](crate::overlay::Tentative) view over
+//! `&ScheduleBuilder`, through the same [`Booking`](crate::overlay::Booking) steps the
+//! builder commits with.
 
 use crate::incremental::{recompute_incremental, RetimeStats};
 use crate::recompute::{recompute, RecomputeError};
@@ -30,7 +31,6 @@ use crate::scaffold::RetimeScaffold;
 use crate::schedule::{MessageHop, MessageRoute, Schedule, TaskPlacement};
 use crate::solver::SolveError;
 use crate::timeline::Timeline;
-use crate::txn::UndoOp;
 use bsa_network::{HeterogeneousSystem, LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskGraph, TaskId};
 
@@ -59,37 +59,44 @@ pub struct ScheduleBuilder<'a> {
     /// topologies have one per *direction* (see [`ScheduleBuilder::link_slot`]), so
     /// opposite-direction transfers never contend.
     pub(crate) link_timelines: Vec<Timeline<(EdgeId, u32)>>,
-    /// Undo log of the open transaction(s); empty when no transaction is open.
-    pub(crate) undo: Vec<UndoOp>,
-    /// Nesting depth of open transactions (see [`crate::txn`]).
-    pub(crate) txn_depth: usize,
-    /// Tasks placed, moved or given a changed incoming route since the last re-timing
-    /// (see [`crate::txn`]).  A sparse set: deduplicated at insertion via the position
-    /// stamps below, so bulk mutation batches don't bloat it.
+    /// Tasks placed, moved or given a changed incoming route since the last re-timing:
+    /// the flat sweep checks only their route-less messages ([`crate::incremental`]).
+    /// A sparse set (Briggs & Torczon, "An Efficient Representation for Sparse Sets",
+    /// 1993): deduplicated at insertion via the position stamps below, so bulk
+    /// mutation batches don't bloat it.
     pub(crate) dirty: Vec<TaskId>,
     /// Per-task position stamp: a task is in `dirty` iff `dirty[stamp] == task`.
     /// Emptying or truncating the list needs no stamp writes (a stale stamp points past
     /// the end or at another task).
     pub(crate) dirty_stamp: Vec<usize>,
-    /// Dirty lists consumed by re-timing passes inside open transactions, so rollback
-    /// can put them back (see [`UndoOp::ClearDirty`]).  Watermarked like
-    /// `retime_undo_tasks`; cleared when the outermost transaction commits.
-    pub(crate) dirty_saved: Vec<TaskId>,
-    /// Number of currently placed tasks (maintained by place/unplace and their undos),
-    /// so the re-timing pass can reject a partial placement in O(1).
+    /// Successful re-timing passes so far.  A [`TaskCheckpoint`] records it, and
+    /// [`ScheduleBuilder::restore_task`] refuses a checkpoint a pass has outdated.
+    pub(crate) retime_passes: u64,
+    /// Number of currently placed tasks (maintained by place/unplace), so the
+    /// re-timing pass can reject a partial placement in O(1).
     pub(crate) placed_count: usize,
     /// Persistent decision-graph scaffolding + scratch arenas for the re-timing pass
-    /// (see [`crate::scaffold`]).  Kept in lockstep by the route mutations below and by
-    /// the undo interpreter; never rebuilt from scratch.
+    /// (see [`crate::scaffold`]).  Kept in lockstep by the route mutations below; never
+    /// rebuilt from scratch.
     pub(crate) scaffold: RetimeScaffold,
-    /// Old `(task, start, finish)` windows saved by re-timing passes inside open
-    /// transactions.  [`UndoOp::Retime`] records watermarks into this stack instead of
-    /// owning a fresh vector, so steady-state re-timing allocates nothing; the stack is
-    /// truncated by rollback and cleared when the outermost transaction commits.
-    pub(crate) retime_undo_tasks: Vec<(TaskId, f64, f64)>,
-    /// Hop counterpart of [`ScheduleBuilder::retime_undo_tasks`]:
-    /// `(edge, hop index, start, finish)`.
-    pub(crate) retime_undo_hops: Vec<(EdgeId, u32, f64, f64)>,
+}
+
+/// What [`ScheduleBuilder::restore_task`] needs to undo a move of one task: its
+/// processor and start, the hops of its in- and out-edges, and the builder's
+/// dirty-list length and pass count.  Filled by [`ScheduleBuilder::checkpoint_task`];
+/// reusing one instance keeps checkpoints allocation-free in steady state.
+#[derive(Debug, Clone, Default)]
+pub struct TaskCheckpoint {
+    /// The task, its processor and its start; `None` before the first checkpoint.
+    placement: Option<(TaskId, ProcId, f64)>,
+    /// The hops of the task's in-edges, then its out-edges, in graph order.
+    hops: Vec<MessageHop>,
+    /// Where each of those edges' hops end in `hops`, in the same order.
+    route_ends: Vec<usize>,
+    /// Length of the dirty list.
+    dirty_len: usize,
+    /// The builder's successful re-timing passes.
+    retime_passes: u64,
 }
 
 impl<'a> ScheduleBuilder<'a> {
@@ -113,15 +120,11 @@ impl<'a> ScheduleBuilder<'a> {
             proc_timelines: vec![Timeline::new(); system.num_processors()],
             routes: vec![Vec::new(); graph.num_edges()],
             link_timelines: vec![Timeline::new(); num_link_slots(system)],
-            undo: Vec::new(),
-            txn_depth: 0,
             dirty: Vec::new(),
             dirty_stamp: vec![0; graph.num_tasks()],
-            dirty_saved: Vec::new(),
+            retime_passes: 0,
             placed_count: 0,
             scaffold: RetimeScaffold::for_problem(graph.num_edges()),
-            retime_undo_tasks: Vec::new(),
-            retime_undo_hops: Vec::new(),
         }
     }
 
@@ -180,7 +183,7 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// The contention-timeline slot of a transmission leaving `from` over `l`: the
     /// link itself under half-duplex, the link's `from`-direction under full-duplex.
-    /// Every piece of link bookkeeping (booking, gap search, re-timing, undo) indexes
+    /// Every piece of link bookkeeping (booking, gap search, re-timing) indexes
     /// the link-timeline set through this, so the whole kernel agrees on what
     /// "contends" means.
     #[inline]
@@ -293,8 +296,6 @@ impl<'a> ScheduleBuilder<'a> {
             "task {t} is already placed; unplace it first"
         );
         let duration = self.exec_cost(t, p);
-        let old_start = self.task_start[t.index()];
-        let old_finish = self.task_finish[t.index()];
         self.assignment[t.index()] = Some(p);
         self.placed_count += 1;
         self.task_start[t.index()] = start;
@@ -310,11 +311,6 @@ impl<'a> ScheduleBuilder<'a> {
             self.mark_dirty(next);
         }
         self.mark_dirty(t);
-        self.log_undo(UndoOp::Place {
-            task: t,
-            old_start,
-            old_finish,
-        });
     }
 
     /// Removes task `t` from its processor timeline and marks it unplaced.
@@ -325,7 +321,6 @@ impl<'a> ScheduleBuilder<'a> {
         if let Some(p) = self.assignment[t.index()].take() {
             self.placed_count -= 1;
             let start = self.task_start[t.index()];
-            let finish = self.task_finish[t.index()];
             let tl = &mut self.proc_timelines[p.index()];
             let pos = tl
                 .position_at(start, |x| x == t)
@@ -337,19 +332,11 @@ impl<'a> ScheduleBuilder<'a> {
                 self.mark_dirty(next);
             }
             self.mark_dirty(t);
-            self.log_undo(UndoOp::Unplace {
-                task: t,
-                proc: p,
-                start,
-                finish,
-            });
         }
     }
 
     /// Evicts task `t`: clears the routes of every incident edge, then unplaces the
-    /// task.  One undoable group on the transaction log — the partial-eviction
-    /// primitive of warm-started re-solving (`Solution::resolve`) and of any repair
-    /// loop that re-places a task together with its messages.
+    /// task.  The first step of [`ScheduleBuilder::restore_task`].
     pub fn evict_task(&mut self, t: TaskId) {
         let graph = self.graph;
         for &e in graph.in_edges(t) {
@@ -368,14 +355,13 @@ impl<'a> ScheduleBuilder<'a> {
         if self.routes[e.index()].is_empty() && hops.is_empty() {
             return;
         }
-        let old = self.detach_route(e);
+        self.detach_route(e);
         for (k, hop) in hops.iter().enumerate() {
             self.book_hop(e, k as u32, hop);
         }
         self.scaffold.set_route_len(e.index(), hops.len());
         self.routes[e.index()] = hops;
         self.mark_dirty(self.graph.edge(e).dst);
-        self.log_undo(UndoOp::Route { edge: e, hops: old });
     }
 
     /// Removes the route of edge `e` from the link timelines and makes the message local.
@@ -383,9 +369,8 @@ impl<'a> ScheduleBuilder<'a> {
         if self.routes[e.index()].is_empty() {
             return;
         }
-        let old = self.detach_route(e);
+        self.detach_route(e);
         self.mark_dirty(self.graph.edge(e).dst);
-        self.log_undo(UndoOp::Route { edge: e, hops: old });
     }
 
     /// Appends one hop to the route of edge `e`, booking its window on the hop's link
@@ -402,7 +387,6 @@ impl<'a> ScheduleBuilder<'a> {
         self.scaffold
             .set_route_len(e.index(), self.routes[e.index()].len());
         self.mark_dirty(self.graph.edge(e).dst);
-        self.log_undo(UndoOp::PopHop(e));
     }
 
     /// Books hop `k` of edge `e` on its link timeline.  The caller marks the message's
@@ -412,9 +396,9 @@ impl<'a> ScheduleBuilder<'a> {
         self.link_timelines[slot].insert(hop.start, hop.finish - hop.start, (e, k));
     }
 
-    /// Unbooks every hop of edge `e` from the link timelines and returns the old hops.
-    /// Does not log or mark.
-    fn detach_route(&mut self, e: EdgeId) -> Vec<MessageHop> {
+    /// Unbooks every hop of edge `e` from the link timelines and empties its route.
+    /// Does not mark.
+    fn detach_route(&mut self, e: EdgeId) {
         let old = std::mem::take(&mut self.routes[e.index()]);
         self.scaffold.set_route_len(e.index(), 0);
         for (k, hop) in old.iter().enumerate() {
@@ -423,7 +407,92 @@ impl<'a> ScheduleBuilder<'a> {
                 .remove_at(hop.start, |pl| pl == (e, k as u32))
                 .expect("routed hop is on its link's timeline");
         }
-        old
+    }
+
+    // ------------------------------------------------------------- dirty set
+
+    /// Marks task `t` as needing re-timing.  Deduplicated in O(1) via the position
+    /// stamps: a task already in the dirty list is not pushed again, so bulk mutation
+    /// batches stay proportional to the number of *distinct* dirty tasks, not to the
+    /// number of mutations.
+    pub(crate) fn mark_dirty(&mut self, t: TaskId) {
+        if !self.is_dirty(t) {
+            self.push_dirty(t);
+        }
+    }
+
+    /// Whether task `t` is in the dirty list: its position stamp points at itself.
+    pub(crate) fn is_dirty(&self, t: TaskId) -> bool {
+        self.dirty.get(self.dirty_stamp[t.index()]) == Some(&t)
+    }
+
+    /// Appends task `t` to the dirty list and stamps it with its position.
+    fn push_dirty(&mut self, t: TaskId) {
+        self.dirty_stamp[t.index()] = self.dirty.len();
+        self.dirty.push(t);
+    }
+
+    /// Ends a successful re-timing pass: empties the dirty list it consumed, with no
+    /// stamp writes, and counts the pass, which outdates every [`TaskCheckpoint`]
+    /// taken before it.
+    pub(crate) fn clear_dirty(&mut self) {
+        self.dirty.clear();
+        self.retime_passes += 1;
+    }
+
+    // ---------------------------------------------------------- checkpoints
+
+    /// Saves into `cp` what [`ScheduleBuilder::restore_task`] needs to undo a move of
+    /// task `t`: its processor and start, the hops of its in- and out-edges, and the
+    /// dirty-list length.  Allocates nothing once `cp`'s buffers have grown to fit.
+    ///
+    /// # Panics
+    /// Panics if `t` is not placed.
+    pub fn checkpoint_task(&self, t: TaskId, cp: &mut TaskCheckpoint) {
+        let p = self.assignment[t.index()].expect("checkpoint_task: the task is not placed");
+        cp.placement = Some((t, p, self.task_start[t.index()]));
+        cp.hops.clear();
+        cp.route_ends.clear();
+        for &e in self.graph.in_edges(t).iter().chain(self.graph.out_edges(t)) {
+            cp.hops.extend_from_slice(&self.routes[e.index()]);
+            cp.route_ends.push(cp.hops.len());
+        }
+        cp.dirty_len = self.dirty.len();
+        cp.retime_passes = self.retime_passes;
+    }
+
+    /// Puts the task of `cp` back as [`ScheduleBuilder::checkpoint_task`] saved it:
+    /// evicts it, re-books the saved routes of its in- and out-edges, re-places it at
+    /// its saved start, and truncates the dirty list back to its saved length.
+    ///
+    /// The result is the builder at the checkpoint, schedule state and dirty list
+    /// alike, provided that only the task and the routes of its edges changed since:
+    /// the moves of a migration, and any number of failed re-timing passes, which
+    /// write nothing.
+    ///
+    /// # Panics
+    /// Panics if `cp` was never filled, or if a re-timing pass has succeeded since the
+    /// checkpoint: such a pass moves other tasks and empties the dirty list.
+    pub fn restore_task(&mut self, cp: &TaskCheckpoint) {
+        let (t, p, start) = cp.placement.expect("restore_task: no checkpoint was taken");
+        assert_eq!(
+            cp.retime_passes, self.retime_passes,
+            "restore_task: a re-timing pass has succeeded since the checkpoint"
+        );
+        self.evict_task(t);
+        let graph = self.graph;
+        let mut from = 0;
+        for (&e, &end) in graph
+            .in_edges(t)
+            .iter()
+            .chain(graph.out_edges(t))
+            .zip(&cp.route_ends)
+        {
+            self.set_route(e, cp.hops[from..end].to_vec());
+            from = end;
+        }
+        self.place_task(t, p, start);
+        self.dirty.truncate(cp.dirty_len);
     }
 
     /// Recomputes every task and hop time from the current *decisions* (assignments,
@@ -443,8 +512,8 @@ impl<'a> ScheduleBuilder<'a> {
     /// [`RecomputeError::UnplacedTask`], checked first, and a pass with nothing dirty
     /// changes nothing.  See [`crate::incremental`].
     ///
-    /// On error nothing is modified (and the dirty set is kept), so a transaction
-    /// rollback restores the exact pre-transaction state.
+    /// On error nothing is modified (and the dirty set is kept), so
+    /// [`ScheduleBuilder::restore_task`] can still undo the move that caused it.
     pub fn recompute_times_incremental(&mut self) -> Result<RetimeStats, RecomputeError> {
         recompute_incremental(self)
     }
@@ -452,8 +521,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// Whether the incrementally maintained re-timing scaffold (per-edge route-length
     /// mirror and total-hop count) is byte-equal to one rebuilt from scratch off the
     /// current routes.  Always true by construction; exposed so the property suite can
-    /// pin the incremental maintenance (including its interaction with rollback)
-    /// against the rebuild.
+    /// pin the incremental maintenance (restores included) against the rebuild.
     pub fn scaffold_matches_rebuild(&self) -> bool {
         self.scaffold.matches_rebuild(&self.routes)
     }
@@ -467,11 +535,11 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Exact structural equality of the *schedule state* — assignments, task times,
     /// routes, hop times, and both timeline sets, compared bit-for-bit (`f64` included).
-    /// Transaction bookkeeping (undo log, dirty list) is ignored.
+    /// The dirty list is ignored.
     ///
-    /// This is the equality the rollback guarantee is stated in: after
-    /// [`ScheduleBuilder::rollback`], the builder is `same_schedule_state` with its
-    /// pre-transaction self.
+    /// This is the equality the restore guarantee is stated in: after
+    /// [`ScheduleBuilder::restore_task`], the builder is `same_schedule_state` with its
+    /// self at the checkpoint.
     pub fn same_schedule_state(&self, other: &Self) -> bool {
         self.assignment == other.assignment
             && self.task_start == other.task_start
@@ -693,5 +761,160 @@ mod tests {
         let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
         b.place_task(TaskId(0), ProcId(0), 0.0);
         b.place_task(TaskId(0), ProcId(1), 0.0);
+    }
+
+    // ---- checkpoints and the dirty list --------------------------------------------
+
+    fn hop(link: u32, from: u32, to: u32, start: f64, finish: f64) -> MessageHop {
+        MessageHop {
+            link: LinkId(link),
+            from: ProcId(from),
+            to: ProcId(to),
+            start,
+            finish,
+        }
+    }
+
+    /// The chain on P0, re-timed once and then with every task moved, so three dirty
+    /// tasks are pending, listed out of id order: `[T2, T1, T0]`.
+    fn pending_dirt(b: &mut ScheduleBuilder<'_>) -> Vec<TaskId> {
+        b.place_task(TaskId(0), ProcId(0), 5.0);
+        b.place_task(TaskId(1), ProcId(0), 20.0);
+        b.place_task(TaskId(2), ProcId(0), 50.0);
+        b.recompute_times_incremental().unwrap();
+        for (t, start) in [(2, 60.0), (1, 25.0), (0, 1.0)] {
+            b.unplace_task(TaskId(t));
+            b.place_task(TaskId(t), ProcId(0), start);
+        }
+        let pending = vec![TaskId(2), TaskId(1), TaskId(0)];
+        assert_eq!(b.dirty, pending);
+        pending
+    }
+
+    /// Moves T2 to a later slot on P0 (its own dirty mark is the only one).
+    fn bounce_last(b: &mut ScheduleBuilder<'_>, start: f64) {
+        b.unplace_task(TaskId(2));
+        b.place_task(TaskId(2), ProcId(0), start);
+    }
+
+    #[test]
+    fn restore_puts_back_placements_routes_and_times() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        b.place_task(TaskId(0), ProcId(0), 0.0);
+        b.place_task(TaskId(1), ProcId(0), 10.0);
+        b.place_task(TaskId(2), ProcId(1), 40.0);
+        b.set_route(EdgeId(1), vec![hop(0, 0, 1, 30.0, 35.0)]);
+        let reference = b.clone();
+
+        // Move T1 to P2 the way a migration does: both of its messages re-routed, one
+        // of them a hop at a time.
+        let mut cp = TaskCheckpoint::default();
+        b.checkpoint_task(TaskId(1), &mut cp);
+        b.unplace_task(TaskId(1));
+        b.place_task(TaskId(1), ProcId(2), 12.5);
+        b.set_route(EdgeId(0), vec![hop(2, 0, 2, 10.0, 15.0)]);
+        b.clear_route(EdgeId(1));
+        b.push_hop(EdgeId(1), hop(1, 2, 1, 50.0, 55.0));
+        assert!(!b.same_schedule_state(&reference));
+        b.restore_task(&cp);
+
+        assert!(b.same_schedule_state(&reference));
+        assert_eq!(b.dirty, reference.dirty);
+        assert!(b.scaffold_matches_rebuild());
+    }
+
+    #[test]
+    fn restore_over_a_pending_dirty_list_feeds_the_next_pass() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        pending_dirt(&mut b);
+        b.recompute_times_incremental().unwrap();
+        bounce_last(&mut b, 70.0);
+        let pending = vec![TaskId(2)];
+        assert_eq!(b.dirty, pending);
+        let reference = b.clone();
+
+        // T1 moved behind its consumer on P0 cannot be timed: the failed pass keeps the
+        // list, and the restore drops the mark the move added.
+        let mut cp = TaskCheckpoint::default();
+        b.checkpoint_task(TaskId(1), &mut cp);
+        b.unplace_task(TaskId(1));
+        b.place_task(TaskId(1), ProcId(0), 200.0);
+        assert_eq!(b.dirty, vec![TaskId(2), TaskId(1)]);
+        assert_eq!(
+            b.recompute_times_incremental(),
+            Err(RecomputeError::CyclicDecisions)
+        );
+        b.restore_task(&cp);
+        assert_eq!(b.dirty, pending);
+        assert!(b.same_schedule_state(&reference));
+
+        // The pending move of T2 is still re-timed, exactly as the oracle times it.
+        let mut oracle = b.clone();
+        let stats = b.recompute_times_incremental().unwrap();
+        oracle.recompute_times().unwrap();
+        assert_eq!(stats.seed_nodes, 1);
+        assert!(b.same_schedule_state(&oracle));
+        assert_eq!(b.start_of(TaskId(2)), 30.0);
+    }
+
+    #[test]
+    fn after_restore_mark_dirty_re_adds_dropped_tasks_once() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        pending_dirt(&mut b);
+        b.recompute_times_incremental().unwrap();
+        // Stale stamps everywhere: T2 at 0, T1 at 1, T0 at 2.  Only T2 is pending now.
+        bounce_last(&mut b, 70.0);
+        let mut expected = vec![TaskId(2)];
+        assert_eq!(b.dirty, expected);
+
+        // Moving T0 to P1 marks its follower T1 (at position 1) and T0 itself (at 2).
+        let mut cp = TaskCheckpoint::default();
+        b.checkpoint_task(TaskId(0), &mut cp);
+        b.unplace_task(TaskId(0));
+        b.place_task(TaskId(0), ProcId(1), 0.0);
+        b.push_hop(EdgeId(0), hop(0, 1, 0, 10.0, 15.0));
+        assert_eq!(b.dirty, vec![TaskId(2), TaskId(1), TaskId(0)]);
+        b.restore_task(&cp);
+        assert_eq!(b.dirty, expected);
+
+        // Survivors are not duplicated …
+        b.mark_dirty(TaskId(2));
+        assert_eq!(b.dirty, expected);
+        // … and the tasks the truncation dropped come back exactly once: T0's stamp
+        // points past the end, and once T0 is pushed at position 1, T1's points at T0.
+        for t in [TaskId(0), TaskId(0), TaskId(1), TaskId(1)] {
+            b.mark_dirty(t);
+        }
+        expected.extend([TaskId(0), TaskId(1)]);
+        assert_eq!(b.dirty, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "a re-timing pass has succeeded since the checkpoint")]
+    fn restore_after_a_successful_pass_panics() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let mut b = ScheduleBuilder::new(&g, &sys).unwrap();
+        pending_dirt(&mut b);
+        let mut cp = TaskCheckpoint::default();
+        b.checkpoint_task(TaskId(2), &mut cp);
+        bounce_last(&mut b, 70.0);
+        b.recompute_times_incremental().unwrap();
+        b.restore_task(&cp);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_task: the task is not placed")]
+    fn checkpoint_of_an_unplaced_task_panics() {
+        let g = chain_graph();
+        let sys = HeterogeneousSystem::homogeneous(&g, ring(3).unwrap());
+        let b = ScheduleBuilder::new(&g, &sys).unwrap();
+        b.checkpoint_task(TaskId(0), &mut TaskCheckpoint::default());
     }
 }

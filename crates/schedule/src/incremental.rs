@@ -20,8 +20,8 @@
 //! local; on a 3000-task, 16-processor instance this keeps 86 k of 316 k edges.
 //!
 //! **Errors without an edge scan.**  Every placement marks its task dirty and every
-//! route change marks its consumer (`crate::txn`), and each successful pass has checked
-//! the route-less messages of every task that was dirty.  So only a dirty task's
+//! route change marks its consumer (`crate::builder`), and each successful pass has
+//! checked the route-less messages of every task that was dirty.  So only a dirty task's
 //! route-less message can cross processors ([`RecomputeError::MissingRoute`]) or run
 //! against processor order.  The flat sweep checks the messages of dirty tasks only,
 //! and keeps a turned-around one as an edge, which closes a cycle that the Kahn pass
@@ -29,15 +29,13 @@
 //! route-less message and assert the invariant.
 //!
 //! The sweep writes back only the nodes whose window changed, in place (re-timing keeps
-//! every timeline's interval order), saves the old windows for rollback inside a
-//! transaction, and allocates nothing once the arenas reach their high-water capacity
-//! (`tests/zero_alloc.rs`).  Errors are detected before anything is written, so a
-//! failed call leaves the builder (and its dirty list) untouched.
+//! every timeline's interval order), and allocates nothing once the arenas reach their
+//! high-water capacity (`tests/zero_alloc.rs`).  Errors are detected before anything is
+//! written, so a failed call leaves the builder (and its dirty list) untouched.
 
 use crate::builder::ScheduleBuilder;
 use crate::recompute::RecomputeError;
 use crate::scaffold::RetimeScaffold;
-use crate::txn::UndoOp;
 use bsa_network::{LinkId, LinkMode, ProcId};
 use bsa_taskgraph::{EdgeId, TaskId};
 
@@ -122,22 +120,16 @@ fn relax(sc: &mut RetimeScaffold, m: usize) -> bool {
 }
 
 /// Moves task `t`, at position `pos` of processor `p`'s timeline, to `[start, finish)`
-/// if that changes its window, saving the old window for rollback when `log`.  Returns
-/// whether the task moved.
+/// if that changes its window.  Returns whether the task moved.
 fn retime_task(
     b: &mut ScheduleBuilder<'_>,
     t: TaskId,
     p: usize,
     pos: usize,
     (start, finish): (f64, f64),
-    log: bool,
 ) -> bool {
-    let (old_start, old_finish) = (b.task_start[t.index()], b.task_finish[t.index()]);
-    if old_start == start && old_finish == finish {
+    if b.task_start[t.index()] == start && b.task_finish[t.index()] == finish {
         return false;
-    }
-    if log {
-        b.retime_undo_tasks.push((t, old_start, old_finish));
     }
     b.task_start[t.index()] = start;
     b.task_finish[t.index()] = finish;
@@ -153,14 +145,10 @@ fn retime_hop(
     slot: usize,
     pos: usize,
     (start, finish): (f64, f64),
-    log: bool,
 ) -> bool {
     let hop = &mut b.routes[e.index()][k as usize];
     if hop.start == start && hop.finish == finish {
         return false;
-    }
-    if log {
-        b.retime_undo_hops.push((e, k, hop.start, hop.finish));
     }
     hop.start = start;
     hop.finish = finish;
@@ -264,14 +252,12 @@ fn flat_relax(
     }
 
     // In-place write-back, walking each timeline so positions are implicit.
-    let log = b.in_txn();
-    let (tasks_from, hops_from) = (b.retime_undo_tasks.len(), b.retime_undo_hops.len());
     let mut changed = 0usize;
     for p in 0..b.proc_timelines.len() {
         for pos in 0..b.proc_timelines[p].len() {
             let t = b.proc_timelines[p].intervals()[pos].payload;
             let window = (sc.start[t.index()], sc.finish[t.index()]);
-            changed += usize::from(retime_task(b, t, p, pos, window, log));
+            changed += usize::from(retime_task(b, t, p, pos, window));
         }
     }
     for slot in 0..b.link_timelines.len() {
@@ -279,7 +265,7 @@ fn flat_relax(
             let (e, k) = b.link_timelines[slot].intervals()[pos].payload;
             let id = (sc.hop_base[e.index()] + k) as usize;
             let window = (sc.start[id], sc.finish[id]);
-            changed += usize::from(retime_hop(b, (e, k), slot, pos, window, log));
+            changed += usize::from(retime_hop(b, (e, k), slot, pos, window));
         }
     }
     #[cfg(debug_assertions)]
@@ -290,12 +276,6 @@ fn flat_relax(
         for tl in &b.link_timelines {
             debug_assert!(tl.is_consistent(), "link timeline after write-back");
         }
-    }
-    if log {
-        b.log_undo(UndoOp::Retime {
-            tasks_from,
-            hops_from,
-        });
     }
     b.clear_dirty();
     Ok(RetimeStats {

@@ -21,10 +21,11 @@
 //!   [`incremental`]): one flat sweep over the reduced decision graph on persistent
 //!   arenas, with the oracle's results and errors.
 //!
-//! Mutations are transactional ([`txn`]): [`ScheduleBuilder::begin_txn`] /
-//! [`ScheduleBuilder::commit`] / [`ScheduleBuilder::rollback`] give an accepted move
-//! whose re-timing fails an undo log instead of a whole-builder clone.  Candidates are
-//! priced without mutating anything, on a read-only [`overlay::Tentative`] view that
+//! A move whose re-timing fails is undone from a one-task checkpoint
+//! ([`ScheduleBuilder::checkpoint_task`] / [`ScheduleBuilder::restore_task`]) instead of
+//! a whole-builder clone: a failed pass writes nothing, so putting back the moved task
+//! and the routes of its messages is exact.  Candidates are priced without mutating
+//! anything, on a read-only [`overlay::Tentative`] view that
 //! answers gap queries as if the candidate's bookings were made ([`overlay`]).  The
 //! finished, immutable [`Schedule`] can then be *validated* against the full
 //! contention model ([`validate::validate`]) and summarised
@@ -33,10 +34,11 @@
 //! Message routing over a pre-computed table goes through [`router`], the one booking
 //! code path every [`bsa_network::CommModel`] consumer shares (DLS/HEFT message
 //! scheduling, BSA's cost-aware reroutes, warm re-solve repairs); it prices a route
-//! through a shared `&ScheduleBuilder`, without a transaction.  Link timelines are direction-aware: on a
-//! [`bsa_network::LinkMode::FullDuplex`] topology each link carries one contention
-//! timeline per direction, so opposite-direction transfers overlap freely — in the
-//! builder, the re-timing kernels, the validator and the Gantt renderer alike.
+//! through a shared `&ScheduleBuilder`, mutating nothing.  Link timelines are
+//! direction-aware: on a [`bsa_network::LinkMode::FullDuplex`] topology each link
+//! carries one contention timeline per direction, so opposite-direction transfers
+//! overlap freely — in the builder, the re-timing kernels, the validator and the Gantt
+//! renderer alike.
 //!
 //! Algorithms are exposed through the **solver-session API** of [`solver`]: a
 //! [`Problem`] (graph + system, validated once) is handed to a [`Solver`] together with
@@ -56,7 +58,7 @@
 //! processor hot-plug — are mutated through [`delta`] (a [`ProblemDelta`] applied with
 //! `Problem::apply`, validating only the touched region) and re-solved warm-started
 //! from the committed schedule through [`resolve`] (`Solution::resolve`), which evicts
-//! only the invalidated placements and repairs them on the transactional builder path
+//! only the invalidated placements and repairs them through the builder's mutations
 //! (DESIGN.md §11).
 
 pub mod builder;
@@ -74,10 +76,9 @@ pub(crate) mod scaffold;
 pub mod schedule;
 pub mod solver;
 pub mod timeline;
-pub mod txn;
 pub mod validate;
 
-pub use builder::ScheduleBuilder;
+pub use builder::{ScheduleBuilder, TaskCheckpoint};
 pub use delta::{DeltaError, DeltaOp, ProblemDelta, ProblemUpdate};
 pub use incremental::RetimeStats;
 pub use metrics::ScheduleMetrics;
@@ -92,7 +93,6 @@ pub use solver::{
     Solver, StopReason, ThreadStats,
 };
 pub use timeline::Timeline;
-pub use txn::Txn;
 pub use validate::{validate, ValidationError};
 
 /// Convenient glob-import for downstream crates.

@@ -16,8 +16,8 @@
 //! and answers gap queries with
 //! [`Timeline::earliest_gap_masked`](crate::timeline::Timeline::earliest_gap_masked),
 //! bit-identical to mutating the timeline and querying it.  Nothing is written to the
-//! builder, so pricing needs no transaction and no rollback, and it leaves the
-//! timelines' gap indexes warm.
+//! builder, so pricing needs nothing undone afterwards, and it leaves the timelines'
+//! gap indexes warm.
 //!
 //! The [`Booking`] trait is what pricing and committing share: the builder implements
 //! it to commit, the view to price.  [`crate::router::book_incoming`] and BSA's
@@ -103,7 +103,7 @@ impl<'a> Booking<'a> for ScheduleBuilder<'a> {
         self.finish_of(t)
     }
 
-    /// Prices on a throwaway overlay: committing allocates anyway (routes, undo log).
+    /// Prices on a throwaway overlay: committing allocates anyway (the booked routes).
     fn price_route(
         &mut self,
         comm: &CommModel,

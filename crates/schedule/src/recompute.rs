@@ -22,7 +22,6 @@
 
 use crate::builder::ScheduleBuilder;
 use crate::timeline::Timeline;
-use crate::txn::UndoOp;
 use bsa_taskgraph::TaskId;
 use std::collections::VecDeque;
 
@@ -171,35 +170,6 @@ pub(crate) fn recompute(b: &mut ScheduleBuilder<'_>) -> Result<(), RecomputeErro
         return Err(RecomputeError::CyclicDecisions);
     }
 
-    // Inside a transaction, remember the old instants of every node that moves so a
-    // rollback can restore them (the full pass is the oracle; it participates in the
-    // same undo machinery as the incremental pass).
-    if b.in_txn() {
-        let tasks_from = b.retime_undo_tasks.len();
-        let hops_from = b.retime_undo_hops.len();
-        for t in graph.task_ids() {
-            if b.task_start[t.index()] != start[t.index()]
-                || b.task_finish[t.index()] != finish[t.index()]
-            {
-                b.retime_undo_tasks
-                    .push((t, b.task_start[t.index()], b.task_finish[t.index()]));
-            }
-        }
-        for e in graph.edge_ids() {
-            for (k, hop) in b.routes[e.index()].iter().enumerate() {
-                let node = hop_node(e.index(), k);
-                if hop.start != start[node] || hop.finish != finish[node] {
-                    b.retime_undo_hops
-                        .push((e, k as u32, hop.start, hop.finish));
-                }
-            }
-        }
-        b.log_undo(UndoOp::Retime {
-            tasks_from,
-            hops_from,
-        });
-    }
-
     // Write the new times back and rebuild the timelines (same orders, new instants).
     for t in graph.task_ids() {
         b.task_start[t.index()] = start[t.index()];
@@ -229,7 +199,7 @@ pub(crate) fn recompute(b: &mut ScheduleBuilder<'_>) -> Result<(), RecomputeErro
         }
     }
     b.link_timelines = new_link;
-    // A full pass consumes the dirty list, like an incremental one.
+    // A full pass consumes the dirty list and counts as a pass, like an incremental one.
     b.clear_dirty();
     Ok(())
 }

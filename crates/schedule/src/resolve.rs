@@ -14,9 +14,9 @@
 //!    message, and the adopted prefix stays time-consistent (hence the decision graph
 //!    stays acyclic).
 //! 2. **Adopt** every surviving placement and route verbatim (ids remapped through the
-//!    [`ProblemUpdate`] maps).  Adoption re-plays them through the transactional
-//!    [`ScheduleBuilder`] mutation path, so the repair loop prices and books against
-//!    the adopted state exactly as the cold solvers do.
+//!    [`ProblemUpdate`] maps).  Adoption re-plays them through the
+//!    [`ScheduleBuilder`] mutations, so the repair loop prices and books against the
+//!    adopted state exactly as the cold solvers do.
 //! 3. **Repair** the evicted tasks in topological order: each candidate processor is
 //!    priced read-only on a [`Tentative`](crate::overlay::Tentative) view that books
 //!    the task's incoming messages with [`crate::router::book_incoming`] (the

@@ -7,10 +7,10 @@
 //!
 //! * **Persistent mirrors** — the per-edge route lengths ([`RetimeScaffold::hop_len`])
 //!   and their sum ([`RetimeScaffold::total_hops`]) are maintained by the builder's
-//!   mutation primitives (`push_hop`, `set_route`, `clear_route`) and by the undo
-//!   interpreter on rollback.  The flat sweep numbers its hops from `hop_len` without
-//!   touching the routes.  A property test pins the mirrors byte-equal to a rebuild
-//!   after mutation/commit/rollback storms.
+//!   route mutations (`push_hop`, `set_route`, `clear_route`), which
+//!   `ScheduleBuilder::restore_task` also re-books through.  The flat sweep numbers
+//!   its hops from `hop_len` without touching the routes.  A property test pins the
+//!   mirrors byte-equal to a rebuild after mutation storms and restored migrations.
 //! * **Scratch arenas** — timeline positions, the dependency list, the CSR, durations,
 //!   and the Kahn frontiers are `clear()`-reused vectors whose capacity survives across
 //!   all passes of a run.  Once they reach their high-water mark,
@@ -20,8 +20,8 @@
 //!
 //! The scaffold is owned by the builder but holds no schedule semantics of its own:
 //! every pass starts from empty arenas, and the persistent parts are pure mirrors of
-//! `routes[e].len()`.  Rollback therefore only has to keep the mirrors honest (via the
-//! same `set_route_len` hook the forward mutations use); the arenas need no undo at all.
+//! `routes[e].len()`, kept honest by the one `set_route_len` hook every route mutation
+//! calls; the arenas need no undo at all.
 
 use crate::schedule::MessageHop;
 
@@ -33,8 +33,8 @@ use crate::schedule::MessageHop;
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RetimeScaffold {
     // ---- persistent, incrementally maintained ------------------------------------
-    /// Mirror of `routes[e].len()`, kept in lockstep by every route mutation (and by
-    /// rollback).  The flat sweep numbers hops and finds each chain's last hop from it.
+    /// Mirror of `routes[e].len()`, kept in lockstep by every route mutation.  The
+    /// flat sweep numbers hops and finds each chain's last hop from it.
     pub(crate) hop_len: Vec<u32>,
     /// Sum of `hop_len` — the total number of booked hops, maintained in O(1).
     pub(crate) total_hops: usize,
@@ -86,8 +86,8 @@ impl RetimeScaffold {
 
     /// Keeps the persistent mirrors in lockstep with a route-length change of edge `e`.
     /// Called by every mutation that changes a route's shape (`set_route`,
-    /// `clear_route`/`detach`, `push_hop`) **and** by the undo interpreter, so rollback
-    /// restores the scaffold through the same single hook.
+    /// `clear_route`/`detach`, `push_hop`), so a restore puts the scaffold back through
+    /// the same single hook.
     pub(crate) fn set_route_len(&mut self, e: usize, len: usize) {
         let old = self.hop_len[e] as usize;
         self.total_hops = self.total_hops - old + len;

@@ -144,7 +144,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------------
 // Incremental scheduling kernel: flat-sweep re-timing vs the full Kahn oracle, and
-// transaction rollback byte-equality.  See docs/DESIGN.md §7.
+// exact restores of failed moves.  See docs/DESIGN.md §5.2 and §7.
 // ---------------------------------------------------------------------------------
 
 use bsa::baselines::dls::dynamic_level;
@@ -157,7 +157,7 @@ use bsa::schedule::router::{
     book_incoming, data_available_bound, data_available_time, route_message,
 };
 use bsa::schedule::schedule::MessageHop;
-use bsa::schedule::{RecomputeError, ScheduleBuilder};
+use bsa::schedule::{RecomputeError, ScheduleBuilder, TaskCheckpoint};
 use rand::Rng;
 
 /// Builds a valid partial schedule by placing every task in topological order on a
@@ -181,12 +181,11 @@ fn build_routed_schedule<'a>(
     builder
 }
 
-/// The mutate-and-undo table routing the read-only router replaced: inside a
-/// transaction that is always rolled back, clear the edge's route and book each hop of
-/// the table route with `push_hop`, so every hop sees the ones before it, and copy the
-/// route out.
+/// The mutate-and-discard table routing the read-only router replaced: on a clone of
+/// the builder, clear the edge's route and book each hop of the table route with
+/// `push_hop`, so every hop sees the ones before it, and copy the route out.
 fn speculative_route(
-    builder: &mut ScheduleBuilder<'_>,
+    builder: &ScheduleBuilder<'_>,
     comm: &CommModel,
     e: EdgeId,
     src: ProcId,
@@ -197,7 +196,7 @@ fn speculative_route(
         return (Vec::new(), ready);
     }
     let links = comm.route(src, dst).unwrap();
-    let txn = builder.begin_txn();
+    let mut builder = builder.clone();
     builder.clear_route(e);
     let mut cursor = ready;
     let mut at = src;
@@ -218,9 +217,7 @@ fn speculative_route(
         cursor = start + dur;
         at = next;
     }
-    let route = builder.route(e).to_vec();
-    builder.rollback(txn);
-    (route, cursor)
+    (builder.route(e).to_vec(), cursor)
 }
 
 /// Books every incoming message of `t` toward `p` with [`speculative_route`] and
@@ -293,7 +290,7 @@ proptest! {
             for &e in graph.in_edges(t) {
                 let src = graph.edge(e).src;
                 let (sp, ready) = (builder.proc_of(src).unwrap(), builder.finish_of(src));
-                let expected = speculative_route(&mut builder, &comm, e, sp, p, ready);
+                let expected = speculative_route(&builder, &comm, e, sp, p, ready);
                 prop_assert_eq!(route_message(&builder, &comm, e, sp, p, ready), expected);
             }
             let mut reference = builder.clone();
@@ -324,12 +321,13 @@ proptest! {
 
     /// BSA's neighbour pricing and the warm re-solve's repair pricing, both read-only on
     /// a tentative view, equal the finish the same candidate gets when it is committed
-    /// inside a transaction that is then rolled back: on random schedules whose routes
-    /// grew through committed migrations, under every route policy (with and without
-    /// cost-aware reroutes) and both link modes.  The bounds the pruned candidate scans
-    /// skip by are admissible there: BSA's neighbour bound and the repair bound never
-    /// exceed the priced finish, and DLS's level with every message on free links is
-    /// never below the exact dynamic level.
+    /// (BSA's on the builder, then restored from a checkpoint unless kept; the repair's
+    /// on a clone): on random schedules whose routes grew through kept migrations,
+    /// under every route policy (with and without cost-aware reroutes) and both link
+    /// modes.  The bounds the pruned candidate scans skip by are admissible there:
+    /// BSA's neighbour bound and the repair bound never exceed the priced finish, and
+    /// DLS's level with every message on free links is never below the exact dynamic
+    /// level.
     #[test]
     fn tentative_pricing_matches_the_rolled_back_commit(
         (n, gran, seed) in dag_params(),
@@ -358,6 +356,7 @@ proptest! {
         let cfg = BsaConfig::default();
         let mut builder = build_routed_schedule(&graph, &system, &comm, seed);
         let mut scratch = MigrationScratch::default();
+        let mut checkpoint = TaskCheckpoint::default();
 
         for _ in 0..n {
             let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
@@ -373,21 +372,19 @@ proptest! {
             let priced =
                 estimate_finish_on_neighbor(&builder, t, pivot, py, &cfg, reroutes, &mut scratch);
             let before = builder.clone();
-            let txn = builder.begin_txn();
+            builder.checkpoint_task(t, &mut checkpoint);
             migrate(&mut builder, t, pivot, py, &cfg, reroutes, &mut scratch);
             prop_assert_eq!(priced.to_bits(), builder.finish_of(t).to_bits(), "{} -> {}", pivot, py);
             // Keep about half the migrations, so later candidates meet routes that grew
             // hop by hop and were re-timed.
-            if rng.gen_bool(0.5) && builder.recompute_times_incremental().is_ok() {
-                builder.commit(txn);
-            } else {
-                builder.rollback(txn);
+            if !(rng.gen_bool(0.5) && builder.recompute_times_incremental().is_ok()) {
+                builder.restore_task(&checkpoint);
                 prop_assert!(builder.same_schedule_state(&before));
             }
         }
 
         // A full reroute of a routed edge, priced with its own hops masked, equals
-        // clearing and re-routing it inside a rolled-back transaction.
+        // clearing and re-routing it on a clone.
         let mut overlay = Overlay::default();
         let routed: Vec<EdgeId> =
             graph.edge_ids().filter(|&e| !builder.route(e).is_empty()).take(8).collect();
@@ -397,7 +394,7 @@ proptest! {
             let dst = system.topology.proc_ids().nth(rng.gen_range(0..8)).unwrap();
             let ready = builder.finish_of(edge.src);
             let priced = overlay.over(&builder).price_route(&comm, e, src, dst, ready);
-            let (_, arrival) = speculative_route(&mut builder, &comm, e, src, dst, ready);
+            let (_, arrival) = speculative_route(&builder, &comm, e, src, dst, ready);
             prop_assert_eq!(priced.to_bits(), arrival.to_bits(), "reroute of {}", e);
         }
 
@@ -415,12 +412,11 @@ proptest! {
             let upper = dynamic_level(sl, data_available_bound(&builder, &comm, t, p), tf, delta);
             let exact = dynamic_level(sl, data_available_time(&builder, &comm, t, p), tf, delta);
             prop_assert!(upper >= exact, "DLS on {}: bound {} < level {}", p, upper, exact);
-            let txn = builder.begin_txn();
-            let ready = speculative_book_incoming(&mut builder, &comm, t, p);
-            let start = builder.earliest_proc_slot(p, ready, builder.exec_cost(t, p));
-            builder.place_task(t, p, start);
-            prop_assert_eq!(priced.to_bits(), builder.finish_of(t).to_bits(), "repair on {}", p);
-            builder.rollback(txn);
+            let mut committed = builder.clone();
+            let ready = speculative_book_incoming(&mut committed, &comm, t, p);
+            let start = committed.earliest_proc_slot(p, ready, committed.exec_cost(t, p));
+            committed.place_task(t, p, start);
+            prop_assert_eq!(priced.to_bits(), committed.finish_of(t).to_bits(), "repair on {}", p);
         }
     }
 }
@@ -461,6 +457,78 @@ fn retiming_modes_agree_on_heterogeneous_links() {
     }
 }
 
+/// A BSA migration whose re-timing fails is restored exactly: random `migrate` moves to
+/// random neighbours on 60 routed schedules of 10–59 tasks, over all four topology
+/// kinds, both link modes, and with and without cost-aware reroutes.  Moves that
+/// re-time are kept, so later moves meet re-timed schedules whose routes grew hop by
+/// hop; the first moves of each instance run over the full pending dirty list the
+/// build left.  After every failed re-timing, the restored builder has the schedule
+/// state of the pre-move clone, its scaffold matches a rebuild, and the next pass
+/// returns the same result and state on both, which needs the same dirty list.
+#[test]
+fn restored_failed_moves_match_the_pre_move_builder() {
+    // 1357 of 6270 moves fail to re-time on these instances; the floor keeps the test
+    // from passing vacuously if a generator change made failures rare.
+    const FAILED_FLOOR: usize = 1000;
+    let cfg = BsaConfig::default();
+    let mut scratch = MigrationScratch::default();
+    let mut checkpoint = TaskCheckpoint::default();
+    let (mut moves, mut failed) = (0usize, 0usize);
+    for instance in 0..60u64 {
+        let n = 10 + (instance as usize * 37) % 50;
+        let graph = build_graph(n, [0.1, 1.0, 10.0][instance as usize % 3], instance);
+        let mut rng = StdRng::seed_from_u64(instance ^ 0x02E5_702E);
+        let kind = TopologyKind::ALL[instance as usize % 4];
+        let mode = if instance / 4 % 2 == 1 {
+            LinkMode::FullDuplex
+        } else {
+            LinkMode::HalfDuplex
+        };
+        let topology = kind.build(8, &mut rng).unwrap().with_link_mode(mode);
+        let system = HeterogeneousSystem::generate(
+            &graph,
+            topology,
+            HeterogeneityRange::DEFAULT,
+            HeterogeneityRange::new(1.0, 50.0),
+            &mut rng,
+        );
+        let table = system.comm_model(RoutePolicy::ShortestHop);
+        let cost_aware = system.comm_model(RoutePolicy::MinTransferTime);
+        let reroutes = (instance / 8 % 2 == 1).then_some(&cost_aware);
+        let mut builder = build_routed_schedule(&graph, &system, &table, instance);
+        for _ in 0..3 * n {
+            let t = TaskId(rng.gen_range(0..n) as u32);
+            let pivot = builder.proc_of(t).unwrap();
+            let neighbors = system.topology.neighbors(pivot);
+            let py = neighbors[rng.gen_range(0..neighbors.len())].0;
+            let before = builder.clone();
+            builder.checkpoint_task(t, &mut checkpoint);
+            migrate(&mut builder, t, pivot, py, &cfg, reroutes, &mut scratch);
+            moves += 1;
+            let Err(err) = builder.recompute_times_incremental() else {
+                continue;
+            };
+            assert_eq!(err, RecomputeError::CyclicDecisions, "instance {instance}");
+            failed += 1;
+            builder.restore_task(&checkpoint);
+            let at = format!("instance {instance}, {t}: {pivot} -> {py}");
+            assert!(builder.same_schedule_state(&before), "{at}");
+            assert!(builder.scaffold_matches_rebuild(), "{at}");
+            let mut reference = before;
+            assert_eq!(
+                builder.recompute_times_incremental(),
+                reference.recompute_times_incremental(),
+                "{at}"
+            );
+            assert!(builder.same_schedule_state(&reference), "{at}");
+        }
+    }
+    assert!(
+        failed >= FAILED_FLOOR,
+        "only {failed} of {moves} moves failed to re-time"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -491,73 +559,11 @@ proptest! {
         }
     }
 
-    /// Rolling back a transaction restores the builder to its exact pre-transaction
-    /// state after an arbitrary storm of placements, un-placements, re-routings and
-    /// re-timing passes.
-    #[test]
-    fn txn_rollback_restores_the_builder_byte_for_byte((n, gran, seed) in dag_params()) {
-        let graph = build_graph(n, gran, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B);
-        let topology = TopologyKind::Ring.build(5, &mut rng).unwrap();
-        let system = HeterogeneousSystem::generate(
-            &graph,
-            topology,
-            HeterogeneityRange::DEFAULT,
-            HeterogeneityRange::homogeneous(),
-            &mut rng,
-        );
-        let table = system.comm_model(RoutePolicy::ShortestHop);
-        let mut builder = build_routed_schedule(&graph, &system, &table, seed);
-        let reference = builder.clone();
-
-        let txn = builder.begin_txn();
-        for _ in 0..8 {
-            match rng.gen_range(0..4) {
-                0 => {
-                    // Move a task to the front-most free slot of its own processor.
-                    let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
-                    let p = builder.proc_of(t).unwrap();
-                    builder.unplace_task(t);
-                    let exec = builder.exec_cost(t, p);
-                    let start = builder.earliest_proc_slot(p, 0.0, exec);
-                    builder.place_task(t, p, start);
-                }
-                1 => {
-                    // Drop the route of a random routed edge.
-                    let eid = EdgeId(rng.gen_range(0..graph.num_edges()) as u32);
-                    builder.clear_route(eid);
-                }
-                2 => {
-                    // Re-route a random crossing edge from scratch.
-                    let eid = EdgeId(rng.gen_range(0..graph.num_edges()) as u32);
-                    let e = graph.edge(eid);
-                    let (sp, dp) = (builder.proc_of(e.src).unwrap(), builder.proc_of(e.dst).unwrap());
-                    if sp != dp {
-                        let ready = builder.finish_of(e.src);
-                        builder.clear_route(eid);
-                        let (hops, _) = route_message(&builder, &table, eid, sp, dp, ready);
-                        builder.set_route(eid, hops);
-                    }
-                }
-                _ => {
-                    // Re-time whatever is dirty; failures (missing route after a clear,
-                    // cyclic order after a move) must leave the state untouched.
-                    let _ = builder.recompute_times_incremental();
-                }
-            }
-        }
-        builder.rollback(txn);
-        prop_assert!(builder.same_schedule_state(&reference));
-
-        // The restored builder is live, not wreckage: a full re-timing still works on a
-        // fully-routed clone once every crossing edge is routed.
-        prop_assert!(builder.graph().num_tasks() == graph.num_tasks());
-    }
-
-    /// After a random mutation storm with interleaved transactions — commits, rollbacks,
-    /// nested speculation, successful and failed re-timings — the incrementally
-    /// maintained `RetimeScaffold` (per-edge route-length mirror, total-hop count, slot
-    /// map sizing) is byte-equal to one rebuilt from scratch off the surviving routes.
+    /// After random mutation storms — placements, cleared and re-booked routes,
+    /// successful and failed re-timings — each followed by a migration restored from its
+    /// checkpoint, the incrementally maintained `RetimeScaffold` (per-edge route-length
+    /// mirror, total-hop count) is byte-equal to one rebuilt from scratch off the
+    /// surviving routes.
     #[test]
     fn retime_scaffold_matches_a_rebuild_after_mutation_storms(
         (n, gran, seed) in dag_params(),
@@ -575,9 +581,10 @@ proptest! {
         let table = system.comm_model(RoutePolicy::ShortestHop);
         let mut builder = build_routed_schedule(&graph, &system, &table, seed);
         prop_assert!(builder.scaffold_matches_rebuild());
+        let (cfg, mut scratch) = (BsaConfig::default(), MigrationScratch::default());
+        let mut checkpoint = TaskCheckpoint::default();
 
         for round in 0..4 {
-            let txn = builder.begin_txn();
             for _ in 0..6 {
                 match rng.gen_range(0..4) {
                     0 => {
@@ -609,15 +616,24 @@ proptest! {
                     }
                 }
             }
-            // Alternate commit / rollback; the mirror must match the rebuild either way.
-            if round % 2 == 0 {
-                builder.rollback(txn);
-            } else {
-                builder.commit(txn);
-            }
             prop_assert!(
                 builder.scaffold_matches_rebuild(),
                 "scaffold diverged from rebuild after round {round}"
+            );
+            // A migration to a random neighbour, restored: the mirror follows the
+            // restore's route mutations too.
+            let t = TaskId(rng.gen_range(0..graph.num_tasks()) as u32);
+            let pivot = builder.proc_of(t).unwrap();
+            let neighbors = system.topology.neighbors(pivot);
+            let py = neighbors[rng.gen_range(0..neighbors.len())].0;
+            let before = builder.clone();
+            builder.checkpoint_task(t, &mut checkpoint);
+            migrate(&mut builder, t, pivot, py, &cfg, None, &mut scratch);
+            builder.restore_task(&checkpoint);
+            prop_assert!(builder.same_schedule_state(&before));
+            prop_assert!(
+                builder.scaffold_matches_rebuild(),
+                "scaffold diverged from rebuild after round {round}'s restore"
             );
         }
     }

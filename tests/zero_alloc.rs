@@ -1,16 +1,17 @@
 //! Steady-state allocation audit of the incremental re-timing sweep.
 //!
-//! The flat sweep runs on persistent scaffolding (`clear()`-reused arenas,
-//! watermark-based undo stacks — DESIGN.md §7.5), so once a run's arenas reach their
-//! high-water capacity, `recompute_times_incremental` must not touch the heap at all.
-//! This test pins that down with a counting global allocator: after a warm-up storm,
-//! every further pass — inside and outside transactions, after task moves, re-routed
-//! messages and bulk dirt — must report **zero** allocations and zero frees.  So must a
-//! transaction rolled back over a long pending dirty list, pricing a task's incoming
-//! messages on every processor with `router::data_available_time` (the way DLS and
-//! HEFT-CA price candidates), and the two read-only pricings on a tentative view: BSA's
-//! neighbour pricing (`estimate_finish_on_neighbor`) and the warm re-solve's repair
-//! pricing (`resolve::price_repair`).
+//! The flat sweep runs on persistent scaffolding (`clear()`-reused arenas — DESIGN.md
+//! §7.5), so once a run's arenas reach their high-water capacity,
+//! `recompute_times_incremental` must not touch the heap at all.  This test pins that
+//! down with a counting global allocator: after a warm-up storm, every further pass —
+//! after task moves, re-routed messages and bulk dirt — must report **zero**
+//! allocations and zero frees.  So must a one-task checkpoint into a reused
+//! `TaskCheckpoint` (BSA takes one before every migration it accepts), pricing a task's
+//! incoming messages on every processor with `router::data_available_time` (the way DLS
+//! and HEFT-CA price candidates), and the two read-only pricings on a tentative view:
+//! BSA's neighbour pricing (`estimate_finish_on_neighbor`) and the warm re-solve's
+//! repair pricing (`resolve::price_repair`).  Restoring a checkpoint may allocate: it
+//! re-books routes, and it runs only when a migration fails to re-time.
 //!
 //! The file deliberately contains a single `#[test]`: the counter is process-global
 //! (gated to the test thread via a thread-local flag), and a sibling test opting into
@@ -24,7 +25,7 @@ use bsa::schedule::overlay::Overlay;
 use bsa::schedule::resolve::price_repair;
 use bsa::schedule::router::{book_incoming, data_available_time};
 use bsa::schedule::schedule::MessageHop;
-use bsa::schedule::ScheduleBuilder;
+use bsa::schedule::{ScheduleBuilder, TaskCheckpoint};
 use bsa::taskgraph::{EdgeId, TaskGraphBuilder, TaskId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,42 +125,26 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         starts[p] = b.finish_of(t);
     }
 
-    // A transaction rolled back while the placements above are still waiting for their
-    // first re-timing: warm re-solves commit repairs against a long pending dirty list.
-    // A transaction costs only its own operations: opening and rolling one back
-    // neither copies nor rebuilds that list.
-    let probe = TaskId(30);
-    let undone_txn = |b: &mut ScheduleBuilder<'_>| {
-        let txn = b.begin_txn();
-        let p = b.proc_of(probe).unwrap();
-        let start = b.start_of(probe);
-        b.unplace_task(probe);
-        b.place_task(probe, p, start);
-        let ready = b.link_timeline(LinkId(0)).last_finish();
-        b.push_hop(
-            EdgeId(0),
-            MessageHop {
-                link: LinkId(0),
-                from: ProcId(0),
-                to: ProcId(1),
-                start: ready,
-                finish: ready + 4.0,
-            },
-        );
-        b.rollback(txn);
+    // Checkpoints into one reused `TaskCheckpoint`, taken while the placements above
+    // are still waiting for their first re-timing: a chain task with two local
+    // messages, the producer and the consumer of the routed one.  A checkpoint copies
+    // only the task's own routes and the dirty list's length, never the list.
+    let mut cp = TaskCheckpoint::default();
+    let checkpoints = |b: &ScheduleBuilder<'_>, cp: &mut TaskCheckpoint| {
+        for t in [TaskId(30), producer, consumer] {
+            b.checkpoint_task(t, cp);
+        }
     };
-    for _ in 0..5 {
-        undone_txn(&mut b);
-    }
+    checkpoints(&b, &mut cp);
     let before = heap_events();
     for _ in 0..10 {
-        undone_txn(&mut b);
+        checkpoints(&b, &mut cp);
     }
     let after = heap_events();
     assert_eq!(
         (after.0 - before.0, after.1 - before.1),
         (0, 0),
-        "a rolled-back transaction over a pending dirty list allocated in steady state"
+        "a checkpoint into a reused TaskCheckpoint allocated in steady state"
     );
 
     // Table-route pricing over every processor, DLS and HEFT-CA's candidate loop: the
@@ -250,32 +235,17 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     );
 
     // One "migration-shaped" iteration: bounce the *last* task of chain 0 (no
-    // successors, so the reorder stays acyclic) to a far-future slot inside a
-    // transaction, re-time, commit; then re-book the producer's message and re-time
-    // outside any transaction (a hop -> consumer cascade).  Same shape every time, so
-    // capacity high-water marks stop moving after the warm-up, and the sweep gets
-    // audited from both contexts.
+    // successors, so the reorder stays acyclic) to a far-future slot, re-book the
+    // producer's message later on link 0 (a hop -> consumer cascade), and re-time once.
+    // Same shape every time, so capacity high-water marks stop moving after the
+    // warm-up.
     let victim = TaskId(50);
     let iteration = |b: &mut ScheduleBuilder<'_>, audit: bool| {
-        let txn = b.begin_txn();
         let p = b.proc_of(victim).unwrap();
         b.unplace_task(victim);
         let exec = b.exec_cost(victim, p);
         let start = b.earliest_proc_slot(p, 1e7, exec);
         b.place_task(victim, p, start);
-        let before = heap_events();
-        let stats = b.recompute_times_incremental().unwrap();
-        let after = heap_events();
-        if audit {
-            assert!(stats.cone_nodes > 0, "the storm must exercise real passes");
-            assert_eq!(
-                (after.0 - before.0, after.1 - before.1),
-                (0, 0),
-                "in-txn incremental re-timing allocated in steady state"
-            );
-        }
-        b.commit(txn);
-
         let hop_start = b.link_timeline(LinkId(0)).last_finish() + 50.0;
         b.set_route(
             EdgeId(0),
@@ -292,13 +262,13 @@ fn steady_state_incremental_retiming_does_not_allocate() {
         let after = heap_events();
         if audit {
             assert!(
-                stats.cone_nodes >= 2,
-                "the pass relaxes at least the hop and the consumer"
+                stats.seed_nodes >= 2,
+                "the pass re-times the victim and the hop's consumer"
             );
             assert_eq!(
                 (after.0 - before.0, after.1 - before.1),
                 (0, 0),
-                "out-of-txn incremental re-timing allocated in steady state"
+                "incremental re-timing allocated in steady state"
             );
         }
     };
@@ -306,10 +276,9 @@ fn steady_state_incremental_retiming_does_not_allocate() {
     // Steady-state *resolve*: the warm-start repair kernel is exactly
     // evict → re-place → re-book → `recompute_times_incremental` on a persistent
     // builder, so repeated small deltas must reuse the same scaffolding.  The audit
-    // window again brackets only the re-timing pass — eviction and booking go through
-    // the undo log and route vectors, whose `vec![...]` literals allocate by design.
+    // window again brackets only the re-timing pass — booking goes through route
+    // vectors, whose `vec![...]` literals allocate by design.
     let resolve_shaped = |b: &mut ScheduleBuilder<'_>, audit: bool| {
-        let txn = b.begin_txn();
         let p = b.proc_of(consumer).unwrap();
         b.evict_task(consumer);
         let exec = b.exec_cost(consumer, p);
@@ -337,15 +306,12 @@ fn steady_state_incremental_retiming_does_not_allocate() {
                 "steady-state resolve re-timing allocated"
             );
         }
-        b.commit(txn);
     };
 
     // Steady-state *bulk* pass: bouncing both chains in place marks nearly every node
     // dirty, the shape of a freshly built or freshly repaired schedule.  The audit
-    // window again brackets only the re-timing call — the bounce itself goes through
-    // the undo log, which allocates by design.
+    // window again brackets only the re-timing call.
     let bulk_shaped = |b: &mut ScheduleBuilder<'_>, audit: bool| {
-        let txn = b.begin_txn();
         for t in graph.task_ids().skip(2).take(98) {
             let p = b.proc_of(t).unwrap();
             let start = b.start_of(t);
@@ -363,7 +329,6 @@ fn steady_state_incremental_retiming_does_not_allocate() {
                 "bulk incremental re-timing allocated in steady state"
             );
         }
-        b.commit(txn);
     };
 
     // Each shape warms up, then is audited; the release-build observable counter must
